@@ -7,6 +7,7 @@ switches the report to a stable machine-readable object.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .errors import (
     ReplayError,
 )
 from .generate import random_forest, seeded_rng
+from .networks import reticulation_number
 from .newick import (
     parse_forest,
     parse_network,
@@ -87,6 +89,7 @@ def _cmd_hybrid(args, started):
             "lower": result.lower,
             "upper": result.upper,
             "nodes": result.stats.nodes,
+            "stats": dataclasses.asdict(result.stats),
         }
         _report(args, "hybrid", inputs, outcome, started, [])
         print(
@@ -101,9 +104,14 @@ def _cmd_hybrid(args, started):
     if args.network_out:
         network = build_network(F, F2, result.witness)
         _write(args.network_out, serialize_network(network))
-    outcome = {"status": "exact", "hybrid_number": weight, "nodes": result.stats.nodes}
+    outcome = {
+        "status": "exact",
+        "hybrid_number": weight,
+        "nodes": result.stats.nodes,
+        "stats": dataclasses.asdict(result.stats),
+    }
     if network is not None:
-        outcome["network_reticulation"] = network.num_edges - network.num_vertices + 1
+        outcome["network_reticulation"] = reticulation_number(network)
     _report(args, "hybrid", inputs, outcome, started, [str(weight)])
     return EXIT_OK
 
@@ -135,7 +143,7 @@ def _cmd_build_network(args, started):
     trace = parse_trace(_read(args.trace))
     network = build_network(F, F2, trace)
     _write(args.out, serialize_network(network))
-    r = network.num_edges - network.num_vertices + 1
+    r = reticulation_number(network)
     inputs = {"forest1": args.forest1, "forest2": args.forest2, "trace": args.trace}
     outcome = {"out": args.out, "reticulation": r}
     _report(args, "build-network", inputs, outcome, started, ["wrote %s (r=%d)" % (args.out, r)])
@@ -170,9 +178,7 @@ def _cmd_gen(args, started):
     if args.pair:
         docs.append(serialize_forest(random_forest(labels, args.components, rng)))
     text = (PAIR_SEPARATOR + "\n").join(docs)
-    sys.stdout.write(text)
-    if args.json:
-        pass  # gen output is the document itself; no report wrapper
+    sys.stdout.write(text)  # with --json too: the document is the output
     return EXIT_OK
 
 
@@ -189,7 +195,13 @@ def make_parser():
     p.add_argument("--forest2", required=True)
     p.add_argument("--trace-out")
     p.add_argument("--network-out")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="search node budget: the number of states the search may expand; "
+        "free C1/C3 steps are forced, not branched on, which keeps that count small",
+    )
     p.set_defaults(func=_cmd_hybrid)
 
     p = sub.add_parser("tbr", help="TBR distance between two trees (BFS oracle)")

@@ -76,38 +76,42 @@ def _parse_newick_line(content, line_no, alloc, seen_labels):
         labels[v] = tok
         return v
 
-    def parse_children(opener):
+    def parse_body():
+        """Everything before ';'.  Open parentheses live on an explicit
+        stack of (opener position, child vertices), so nesting depth is
+        not limited by the recursion limit."""
         nonlocal pos
-        pos += 1  # consume '('
-        kids = [parse_subtree()]
-        skip_ws()
-        while pos < end and content[pos] == ",":
-            pos += 1
-            kids.append(parse_subtree())
+        groups = []
+        while True:
             skip_ws()
-        if pos >= end or content[pos] != ")":
-            err("expected ',' or ')'", pos if pos < end else end)
-        pos += 1
-        return kids
+            if pos < end and content[pos] == "(":
+                groups.append((pos, []))
+                pos += 1
+                continue
+            v = parse_label()
+            while groups:
+                opener, kids = groups[-1]
+                kids.append(v)
+                skip_ws()
+                if pos < end and content[pos] == ",":
+                    pos += 1
+                    break
+                if pos >= end or content[pos] != ")":
+                    err("expected ',' or ')'", pos if pos < end else end)
+                pos += 1
+                groups.pop()
+                if not groups:
+                    close_root(opener, kids)
+                    return
+                if len(kids) != 2:
+                    err("internal node with %d children (need 2)" % len(kids), opener, NonBinary)
+                v = new_vertex()
+                for k in kids:
+                    connect(v, k)
+            else:
+                return  # a single-leaf tree
 
-    def parse_subtree():
-        nonlocal pos
-        skip_ws()
-        if pos < end and content[pos] == "(":
-            opener = pos
-            kids = parse_children(opener)
-            if len(kids) != 2:
-                err("internal node with %d children (need 2)" % len(kids), opener, NonBinary)
-            v = new_vertex()
-            for k in kids:
-                connect(v, k)
-            return v
-        return parse_label()
-
-    skip_ws()
-    if pos < end and content[pos] == "(":
-        opener = pos
-        kids = parse_children(opener)
+    def close_root(opener, kids):
         if len(kids) == 2:
             connect(kids[0], kids[1])  # unroot by suppressing the root
         elif len(kids) == 3:
@@ -116,8 +120,8 @@ def _parse_newick_line(content, line_no, alloc, seen_labels):
                 connect(v, k)
         else:
             err("root with %d children (need 2 or 3)" % len(kids), opener, NonBinary)
-    else:
-        parse_label()
+
+    parse_body()
     skip_ws()
     if pos >= end or content[pos] != ";":
         err("expected ';'", pos if pos < end else end)

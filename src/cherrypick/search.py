@@ -6,12 +6,13 @@ depth-first search over canonical state pairs with memoized bounds.  The
 minimum weight over all sequences equals the hybrid number of the two
 forests, and for two trees the TBR distance between them.
 
-The search is single-threaded and deterministic: the witness is the
-lexicographically least optimal trace under the step ordering.
+The search is single-threaded and deterministic: the witness of an exact
+result is the lexicographically least optimal trace under the step
+ordering, also when the greedy sequence is already optimal.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GroundSetMismatch, NotATree
 from .reductions import (
@@ -29,9 +30,19 @@ class _BudgetExceeded(Exception):
 
 @dataclass
 class SearchStats:
+    """Counters of one search.  ``nodes`` counts expanded states (the node
+    budget counts these), ``applied`` the steps the search applied,
+    ``forced`` the free steps it took without branching, and
+    ``level_nodes[k]`` the nodes expanded while deciding whether the
+    weight is at most k (the witness walk's nodes are in ``nodes`` only).
+    """
+
     nodes: int = 0
     memo_hits: int = 0
     elapsed: float = 0.0
+    applied: int = 0
+    forced: int = 0
+    level_nodes: list = field(default_factory=list)
 
 
 @dataclass
@@ -60,31 +71,34 @@ class SearchResult:
 # greedy existence construction
 
 
-def _greedy_pick(F, F2):
-    """Choose the next step(s) following the existence argument: prefer a
-    free C3/C1, otherwise cut the pendant edge of a cherry leaf and then
-    drop it, giving the (x, x, ...) pattern."""
-    cherries_f = F.cherries()
-    cherries_f2 = F2.cherries()
-    if not cherries_f and not cherries_f2:
-        # both edge sets are empty; drop the smallest label from both
-        return [ReductionStep(min(F.ground_set), "C3", "forward")]
-    if cherries_f:
-        x, y = cherries_f[0]
-        orientation = "forward"
-        A, B = F, F2
-    else:
-        x, y = cherries_f2[0]
-        orientation = "reversed"
-        A, B = F2, F
-    singles = [lab for lab in (x, y) if B.is_singleton(lab)]
+def _free_step(F, F2):
+    """The first legal C1 step, else the first legal C3 step, in the order
+    of ``applicable_steps``; None when no free step exists."""
+    for a, b in F.cherries():
+        if F2.has_cherry((a, b)):
+            return ReductionStep(a, "C1", "forward", y=b)
+    singles = [
+        (next(iter(t.vertex_of)), orientation)
+        for forest, orientation in ((F, "forward"), (F2, "reversed"))
+        for t in forest.components
+        if t.num_vertices == 1
+    ]
     if singles:
-        lab = min(singles)
-        c3_orient = "forward" if F.is_singleton(lab) else "reversed"
-        return [ReductionStep(lab, "C3", c3_orient)]
-    case = classify(A, B, (x, y))
-    if case.case == "i":
-        return [ReductionStep(x, "C1", "forward", y=y)]
+        label, orientation = min(singles)
+        return ReductionStep(label, "C3", orientation)
+    return None
+
+
+def _greedy_pick(F, F2):
+    """Choose the next step(s) following the existence argument: take the
+    first free C1/C3 step, otherwise cut the pendant edge of a cherry leaf
+    and then drop it, giving the (x, x, ...) pattern."""
+    free = _free_step(F, F2)
+    if free is not None:
+        return [free]
+    # F has no isolated vertex, so it has a cherry
+    x, y = F.cherries()[0]
+    case = classify(F, F2, (x, y))
     if case.case == "ii":
         anchors = [w[0] for w in case.witnesses]
         lab = x if x in anchors else y
@@ -94,8 +108,8 @@ def _greedy_pick(F, F2):
         lab, partner, rule = x, y, "C2b_i"
     else:
         lab, partner, rule = x, y, "C2c"
-    cut = ReductionStep(lab, rule, orientation, y=partner, cut="e_x")
-    drop = ReductionStep(lab, "C3", orientation)
+    cut = ReductionStep(lab, rule, "forward", y=partner, cut="e_x")
+    drop = ReductionStep(lab, "C3", "forward")
     return [cut, drop]
 
 
@@ -120,64 +134,99 @@ def greedy_cps(F, F2):
 
 
 class _Searcher:
+    """Iterative-deepening search over pairs of forests, memoized on
+    canonical state keys.
+
+    Free steps are forced.  When a C1 or C3 step is legal, the search takes
+    the first one (C1 before C3, each in enumeration order) as the state's
+    only child and does not branch on the other steps.  This keeps the
+    exact value, which is the hybrid number of the pair:
+
+    * the step costs nothing, so value(state) <= value(child);
+    * the child is both forests restricted to one label fewer, and a
+      network displaying the two forests displays their restrictions once
+      that leaf is deleted, so value(child) <= value(state).
+
+    For C1 this is the common-cherry (subtree) reduction of Allen & Steel
+    2001 ("Subtree transfer operations and their induced metrics on
+    evolutionary trees"), which keeps the TBR distance; a C3 step deletes
+    a label that is already an isolated vertex, which costs nothing and
+    can only lower the weight still to pay.  Chains of forced steps are
+    followed in a loop, so recursion depth grows with the number of C2
+    steps, not with the label count.
+
+    A state without a free step has only C2 steps, all of cost one, and a
+    child is built only when that cost is below the current best.
+    """
+
     def __init__(self, budget=None):
         self.budget = budget
         self.stats = SearchStats()
         # state key -> (value, exact); non-exact entries are lower bounds
         self.memo = {}
-        self.step_cache = {}
 
     @staticmethod
     def _key(F, F2):
         a, b = F.canonical, F2.canonical
         return (a, b) if a <= b else (b, a)
 
-    def _steps(self, F, F2):
-        key = (F.canonical, F2.canonical)
-        got = self.step_cache.get(key)
-        if got is None:
-            got = [(s, apply_step(F, F2, s)) for s in applicable_steps(F, F2)]
-            self.step_cache[key] = got
-        return got
+    def _lookup(self, key, cutoff):
+        hit = self.memo.get(key)
+        if hit is None:
+            return None
+        value, exact = hit
+        if exact:
+            self.stats.memo_hits += 1
+            return min(value, cutoff)
+        if value >= cutoff:
+            self.stats.memo_hits += 1
+            return cutoff
+        return None
+
+    def _store(self, key, best, exact):
+        old = self.memo.get(key)
+        if old is None or (exact and not old[1]) or (not exact and not old[1] and best > old[0]):
+            self.memo[key] = (best, exact)
 
     def residual(self, F, F2, cutoff):
         """min(true residual weight, cutoff); exact when below cutoff."""
         if cutoff <= 0:
             return 0
-        if len(F.ground_set) == 1:
-            return 0
-        key = self._key(F, F2)
-        hit = self.memo.get(key)
-        if hit is not None:
-            value, exact = hit
-            if exact:
-                self.stats.memo_hits += 1
-                return min(value, cutoff)
-            if value >= cutoff:
-                self.stats.memo_hits += 1
-                return cutoff
-        self.stats.nodes += 1
-        if self.budget is not None and self.stats.nodes > self.budget:
-            raise _BudgetExceeded
-        best = cutoff
-        ordered = self._steps(F, F2)
-        # explore the zero-cost closure before C2 branching
-        for want_cost in (0, 1):
-            for step, (nF, nF2) in ordered:
-                cost = step.cost
-                if cost != want_cost or cost >= best:
-                    continue
-                value = cost + self.residual(nF, nF2, best - cost)
-                if value < best:
-                    best = value
-                    if best == 0:
-                        break
-            if best == 0:
+        chain = []  # keys of the states passed on the way, all of equal value
+        best = 0
+        while len(F.ground_set) > 1:
+            key = self._key(F, F2)
+            hit = self._lookup(key, cutoff)
+            if hit is not None:
+                best = hit
                 break
+            self.stats.nodes += 1
+            if self.budget is not None and self.stats.nodes > self.budget:
+                raise _BudgetExceeded
+            chain.append(key)
+            step = _free_step(F, F2)
+            if step is None:
+                best = self._branch(F, F2, cutoff)
+                break
+            self.stats.forced += 1
+            self.stats.applied += 1
+            F, F2 = apply_step(F, F2, step)
         exact = best < cutoff
-        old = self.memo.get(key)
-        if old is None or (exact and not old[1]) or (not exact and not old[1] and best > old[0]):
-            self.memo[key] = (best, exact)
+        for key in chain:
+            self._store(key, best, exact)
+        return best
+
+    def _branch(self, F, F2, cutoff):
+        """min(value, cutoff) of a state whose steps all cost one."""
+        best = cutoff
+        if best <= 1:
+            return best
+        for step in applicable_steps(F, F2):
+            nF, nF2 = apply_step(F, F2, step)
+            self.stats.applied += 1
+            best = min(best, 1 + self.residual(nF, nF2, best - 1))
+            if best <= 1:
+                break
         return best
 
     def witness(self, F, F2, weight):
@@ -208,29 +257,40 @@ def min_weight_cps(F, F2, budget=None):
 
     Iterative deepening proves each level exhausted before admitting one
     more C2 step; the greedy sequence provides the initial upper bound.
-    With a node ``budget``, a "bounded" result reports the best interval
-    instead of exactness; the budget limits the search itself, not the
-    witness walk for an already-proven minimum.
+    Free C1/C3 steps are forced rather than branched on (see
+    ``_Searcher`` for why that keeps the minimum).  With a node
+    ``budget``, a "bounded" result reports the best interval instead of
+    exactness; the budget limits the search itself, not the witness walk
+    for an already-proven minimum.
     """
     start = time.monotonic()
     upper_trace = greedy_cps(F, F2)
     upper = upper_trace.weight
     searcher = _Searcher(budget)
-    lower = 0
+    stats = searcher.stats
+    value = 0  # every weight below `value` is ruled out
     try:
-        for target in range(upper):
-            value = searcher.residual(F, F2, target + 1)
-            if value <= target:
-                searcher.budget = None
-                witness = searcher.witness(F, F2, value)
-                searcher.stats.elapsed = time.monotonic() - start
-                return SearchResult("exact", value, value, witness, searcher.stats)
-            lower = target + 1
+        while value < upper:
+            before = stats.nodes
+            try:
+                found = searcher.residual(F, F2, value + 1)
+            finally:
+                stats.level_nodes.append(stats.nodes - before)
+            if found <= value:
+                break
+            value += 1
     except _BudgetExceeded:
-        searcher.stats.elapsed = time.monotonic() - start
-        return SearchResult("bounded", lower, upper, upper_trace, searcher.stats)
-    searcher.stats.elapsed = time.monotonic() - start
-    return SearchResult("exact", upper, upper, upper_trace, searcher.stats)
+        stats.elapsed = time.monotonic() - start
+        return SearchResult("bounded", value, upper, upper_trace, stats)
+    if upper == 0:
+        # the greedy trace takes the first free step at every state, which
+        # is the walk's choice when the weight is 0
+        witness = upper_trace
+    else:
+        searcher.budget = None
+        witness = searcher.witness(F, F2, value)
+    stats.elapsed = time.monotonic() - start
+    return SearchResult("exact", value, value, witness, stats)
 
 
 def hybrid_number(F, F2):

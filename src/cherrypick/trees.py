@@ -29,7 +29,7 @@ FORBIDDEN_LABEL_CHARS = frozenset(" \t\r\n\f\v(),;:#")
 
 
 def is_valid_label(name):
-    return bool(name) and not (set(name) & FORBIDDEN_LABEL_CHARS)
+    return bool(name) and FORBIDDEN_LABEL_CHARS.isdisjoint(name)
 
 
 def _edge(u, v):
@@ -191,17 +191,27 @@ class PhyloTree:
     def _compute_canonical(self):
         if self.num_vertices == 1:
             return next(iter(self.labels.values())) + ";"
+        adj, labels = self.adj, self.labels
         root_label = min(self.vertex_of)
         rv = self.vertex_of[root_label]
-        (start,) = self.adj[rv]
-
-        def render(v, parent):
-            if v in self.labels:
-                return self.labels[v]
-            kids = sorted(render(w, v) for w in self.adj[v] if w != parent)
-            return "(" + ",".join(kids) + ")"
-
-        parts = sorted((root_label, render(start, rv)))
+        (start,) = adj[rv]
+        if start in labels:
+            return "(" + ",".join(sorted((root_label, labels[start]))) + ");"
+        # internal vertices in breadth-first order from `start`; rendering
+        # them in reverse finishes every child before its parent, so deep
+        # trees need no recursion
+        parent = {start: rv}
+        order = [start]
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v] and w not in labels:
+                    parent[w] = v
+                    order.append(w)
+        text = {}
+        for v in reversed(order):
+            kids = [labels[w] if w in labels else text.pop(w) for w in adj[v] if w != parent[v]]
+            text[v] = "(" + ",".join(sorted(kids)) + ")"
+        parts = sorted((root_label, text[start]))
         return "(" + ",".join(parts) + ");"
 
     def __repr__(self):
@@ -484,7 +494,9 @@ class Forest:
     __slots__ = ("components", "ground_set", "_canon", "_home")
 
     def __init__(self, components):
-        comps = sorted(components, key=lambda t: t.canonical)
+        comps = list(components)
+        if len(comps) > 1:  # one component needs no canonical form here
+            comps.sort(key=lambda t: t.canonical)
         self.components = tuple(comps)
         self._home = {}
         self._canon = None
@@ -532,10 +544,8 @@ class Forest:
         return out
 
     def has_cherry(self, pair):
-        x, y = sorted(pair)
-        if x not in self._home or self._home.get(x) != self._home.get(y):
-            return False
-        return (x, y) in self.component_of(x).cherries()
+        x, y = pair
+        return y in self.cherry_partners(x)
 
     def cherry_partners(self, label):
         """Labels forming a cherry with `label`, sorted."""
@@ -560,10 +570,6 @@ class Forest:
 def canonical_form(forest):
     """Text key equal for exactly the label-isomorphic forests."""
     return forest.canonical
-
-
-def forest_cherries(forest):
-    return forest.cherries()
 
 
 # -- leaf and edge removal ---------------------------------------------------

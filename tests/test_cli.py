@@ -77,6 +77,20 @@ def test_hybrid_json_report(files, capsys):
     assert report["command"] == "hybrid"
     assert report["outcome"]["hybrid_number"] == 1
     assert "timing_sec" in report
+    stats = report["outcome"]["stats"]
+    assert stats["nodes"] == report["outcome"]["nodes"]
+    assert {"memo_hits", "elapsed", "applied", "forced", "level_nodes"} <= set(stats)
+    assert sum(stats["level_nodes"]) <= stats["nodes"]
+
+
+def test_hybrid_deep_caterpillar_against_itself(files, capsys):
+    _, write = files
+    text = "t0"
+    for i in range(1, 1500):
+        text = "(%s,t%d)" % (text, i)
+    f = write("cat.nwk", text + ";\n")
+    code, out, _ = run_main(["hybrid", "--forest1", f, "--forest2", f], capsys)
+    assert code == 0 and out.strip() == "0"
 
 
 def test_hybrid_parse_error_exit_2(files, capsys):

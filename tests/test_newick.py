@@ -116,6 +116,16 @@ def test_forest_round_trip_random():
         assert canonical_form(again) == canonical_form(f)
 
 
+def test_deep_caterpillar_round_trip():
+    # nesting deeper than the recursion limit parses and canonicalises
+    text = "t0"
+    for i in range(1, 1500):
+        text = "(%s,t%d)" % (text, i)
+    f = parse_forest(text + ";")
+    assert len(f.ground_set) == 1500
+    assert canonical_form(parse_forest(serialize_forest(f))) == canonical_form(f)
+
+
 # ---------------------------------------------------------------------------
 # networks
 

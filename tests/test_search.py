@@ -1,15 +1,17 @@
 """Greedy construction and exact minimum-weight search."""
 
+import sys
+
 import pytest
 
 from cherrypick.errors import GroundSetMismatch, NotATree
-from cherrypick.generate import random_forest_pair, random_tree, seeded_rng
-from cherrypick.newick import parse_forest
+from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
+from cherrypick.newick import parse_forest, serialize_trace
 from cherrypick.reductions import labels_of, validate_trace
 from cherrypick.search import greedy_cps, hybrid_number, min_weight_cps, tbr_distance
-from cherrypick.trees import Forest, canonical_form
+from cherrypick.trees import Forest, PhyloTree, canonical_form
 
-from util import all_topologies
+from util import all_topologies, min_trace_bruteforce
 
 
 FIG_FOREST = "(1,3);\n((2,4),(5,6));"
@@ -174,3 +176,47 @@ def test_min_weight_two_expected_from_bfs_oracle():
     cat1 = parse_forest("((1,2),(3,(4,(5,6))));")
     cat2 = parse_forest("((1,5),(3,(4,(2,6))));")
     assert min_weight_cps(cat1, cat2).min_weight == 2
+
+
+# ---------------------------------------------------------------------------
+# forced free steps, lazy children, counters
+
+
+def test_witness_matches_bruteforce():
+    cases = []
+    for n in range(1, 6):
+        tops = [Forest([t]) for t in all_topologies([str(i) for i in range(1, n + 1)])]
+        cases.extend((tops[0], T) for T in tops)
+    rng = seeded_rng(3)
+    for n in (6, 7):
+        labels = [str(i) for i in range(1, n + 1)]
+        for k in (1, 2, 3):
+            cases.append((random_forest(labels, k, rng), random_forest(labels, k, rng)))
+    for F, F2 in cases:
+        result = min_weight_cps(F, F2)
+        brute = min_trace_bruteforce(F, F2)
+        assert result.min_weight == brute.weight
+        assert serialize_trace(result.witness) == serialize_trace(brute)
+
+
+def test_search_stats_counters():
+    F = parse_forest("((1,2),(3,(4,(5,6))));")
+    F2 = parse_forest("((1,5),(3,(4,(2,6))));")
+    result = min_weight_cps(F, F2)
+    stats = result.stats
+    assert result.min_weight == 2
+    assert stats.applied >= stats.forced > 0
+    assert 0 < sum(stats.level_nodes) <= stats.nodes
+    assert len(stats.level_nodes) <= greedy_cps(F, F2).weight
+
+
+def test_one_swap_at_four_hundred_leaves_is_exact():
+    # free-step chains run in a loop, so depth stays far below the limit
+    assert sys.getrecursionlimit() <= 1000
+    labels = [str(i) for i in range(400)]
+    T = random_tree(labels, seeded_rng(1))
+    swap = {"3": "170", "170": "3"}
+    T2 = PhyloTree(T.adj, {v: swap.get(lab, lab) for v, lab in T.labels.items()})
+    result = min_weight_cps(Forest([T]), Forest([T2]))
+    assert result.status == "exact" and result.min_weight == 2
+    assert validate_trace(Forest([T]), Forest([T2]), result.witness) == 2

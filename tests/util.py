@@ -1,12 +1,15 @@
-"""Shared test helpers: an independent topology enumerator and a
-label-respecting network isomorphism check.
+"""Shared test helpers: an independent topology enumerator, a
+label-respecting network isomorphism check, and a brute-force minimum
+cherry picking sequence.
 
-Both are deliberately written from scratch (recursive insertion and plain
-backtracking) so they can serve as oracles for the library's own code.
+All are deliberately written from scratch (recursive insertion, plain
+backtracking, exhaustive search) so they can serve as oracles for the
+library's own code.
 """
 
 import itertools
 
+from cherrypick.reductions import ReductionTrace, applicable_steps, apply_step
 from cherrypick.trees import Forest, PhyloTree
 
 
@@ -100,3 +103,35 @@ def forest_pairs(labels):
     """All ordered pairs of single-tree forests over a label set."""
     tops = [Forest([t]) for t in all_topologies(labels)]
     return list(itertools.product(tops, tops))
+
+
+def min_trace_bruteforce(F, F2):
+    """The lexicographically least minimum-weight cherry picking sequence
+    (steps compared by their position in ``applicable_steps``), by plain
+    depth-first search with no memo, no forcing of free steps and no
+    lower bound.
+
+    The only limit is a weight budget, raised one at a time from 0: the
+    first complete sequence found within budget w, trying steps in
+    enumeration order, is the least one of weight at most w.  Without it
+    the search is out of reach even at five leaves, because free steps
+    can be taken in every order.
+    """
+
+    def first_within(F, F2, budget):
+        if len(F.ground_set) == 1:
+            return ()
+        for step in applicable_steps(F, F2):
+            if step.cost > budget:
+                continue
+            rest = first_within(*apply_step(F, F2, step), budget - step.cost)
+            if rest is not None:
+                return (step,) + rest
+        return None
+
+    budget = 0
+    while True:
+        steps = first_within(F, F2, budget)
+        if steps is not None:
+            return ReductionTrace(steps)
+        budget += 1
