@@ -1,9 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: hybrid, tbr, validate-trace, build-network, displays, gen.
-Exit codes: 0 success, 2 parse/input error, 3 ground-set mismatch,
-4 budget or cap exhausted, 5 semantic validation failure.  ``--json``
-switches the report to a stable machine-readable object.
+Exit codes: 0 success, 2 parse/input error or unwritable output path,
+3 ground-set mismatch, 4 budget or cap exhausted, 5 semantic validation
+failure.  ``--json`` switches the report to a stable machine-readable
+object.
 """
 
 import argparse
@@ -53,9 +54,21 @@ def _read(path):
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
+def _read_pair(args):
+    """The two forests named by --forest1/--forest2, on one label set."""
+    F = parse_forest(_read(args.forest1))
+    F2 = parse_forest(_read(args.forest2))
+    if F.ground_set != F2.ground_set:
+        raise GroundSetMismatch("forests are on different label sets")
+    return F, F2
+
+
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc))
 
 
 def _report(args, command, inputs, outcome, started, human_lines):
@@ -77,10 +90,7 @@ def _report(args, command, inputs, outcome, started, human_lines):
 
 
 def _cmd_hybrid(args, started):
-    F = parse_forest(_read(args.forest1))
-    F2 = parse_forest(_read(args.forest2))
-    if F.ground_set != F2.ground_set:
-        raise GroundSetMismatch("forests are on different label sets")
+    F, F2 = _read_pair(args)
     result = min_weight_cps(F, F2, budget=args.budget)
     inputs = {"forest1": args.forest1, "forest2": args.forest2}
     if result.status == "bounded":
@@ -128,9 +138,8 @@ def _cmd_tbr(args, started):
 
 
 def _cmd_validate_trace(args, started):
-    F = parse_forest(_read(args.forest1))
-    F2 = parse_forest(_read(args.forest2))
     trace = parse_trace(_read(args.trace))
+    F, F2 = _read_pair(args)
     weight = validate_trace(F, F2, trace)
     inputs = {"forest1": args.forest1, "forest2": args.forest2, "trace": args.trace}
     _report(args, "validate-trace", inputs, {"weight": weight}, started, [str(weight)])
@@ -138,9 +147,8 @@ def _cmd_validate_trace(args, started):
 
 
 def _cmd_build_network(args, started):
-    F = parse_forest(_read(args.forest1))
-    F2 = parse_forest(_read(args.forest2))
     trace = parse_trace(_read(args.trace))
+    F, F2 = _read_pair(args)
     network = build_network(F, F2, trace)
     _write(args.out, serialize_network(network))
     r = reticulation_number(network)

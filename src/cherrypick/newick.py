@@ -21,7 +21,7 @@ from .errors import (
     TripleEdge,
 )
 from .networks import PseudoNetwork
-from .reductions import RULES, ReductionStep, ReductionTrace
+from .reductions import RULE_PARAMS, ReductionStep, ReductionTrace
 from .trees import FORBIDDEN_LABEL_CHARS, Forest, PhyloTree, is_valid_label
 
 
@@ -260,26 +260,6 @@ def serialize_network(network):
 # ---------------------------------------------------------------------------
 # traces
 
-_PARAM_KEYS = {
-    "C1": ("y",),
-    "C2a_i": ("y", "cut"),
-    "C2a_ii": ("y", "p", "cut"),
-    "C2a_iii": ("y", "p", "q", "cut"),
-    "C2b_i": ("y", "cut"),
-    "C2b_ii": ("y", "cut"),
-    "C2c": ("y", "cut"),
-    "C3": (),
-}
-
-_CUT_CHOICES = {
-    "C2a_i": ("e_x", "e_y"),
-    "C2a_ii": ("e_p", "e_xyp"),
-    "C2a_iii": ("e_p", "e_q", "e_pq"),
-    "C2b_i": ("e_x", "e_y"),
-    "C2b_ii": ("c2b_edge",),
-    "C2c": ("e_x", "e_y"),
-}
-
 
 def parse_trace(text):
     """Parse a trace document; schema validation only (replay-time checks
@@ -298,7 +278,7 @@ def parse_trace(text):
         if extra:
             raise SchemaError("step %d has unknown keys %s" % (i, sorted(extra)))
         rule = item.get("rule")
-        if rule not in RULES:
+        if rule not in RULE_PARAMS:
             raise SchemaError("step %d has unknown rule %r" % (i, rule))
         label = item.get("label")
         if not isinstance(label, str) or not is_valid_label(label):
@@ -309,7 +289,7 @@ def parse_trace(text):
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("step %d params must be an object" % i)
-        need = _PARAM_KEYS[rule]
+        need, cuts, _ = RULE_PARAMS[rule]
         missing = [k for k in need if k not in params]
         if missing:
             raise SchemaError("step %d (%s) is missing params %s" % (i, rule, missing))
@@ -319,10 +299,10 @@ def parse_trace(text):
         for k in ("y", "p", "q"):
             if k in params and (not isinstance(params[k], str) or not is_valid_label(params[k])):
                 raise SchemaError("step %d has a bad %r param" % (i, k))
-        if "cut" in params and params["cut"] not in _CUT_CHOICES[rule]:
+        if "cut" in params and params["cut"] not in cuts:
             raise SchemaError(
                 "step %d (%s) has cut %r, expected one of %s"
-                % (i, rule, params["cut"], list(_CUT_CHOICES[rule]))
+                % (i, rule, params["cut"], list(cuts))
             )
         steps.append(
             ReductionStep(
@@ -341,9 +321,7 @@ def parse_trace(text):
 def serialize_trace(trace):
     data = []
     for s in trace.steps:
-        params = {}
-        for k in _PARAM_KEYS[s.rule]:
-            params[k] = getattr(s, k) if k != "cut" else s.cut
+        params = {k: getattr(s, k) for k in RULE_PARAMS[s.rule].params}
         data.append(
             {"label": s.label, "rule": s.rule, "orientation": s.orientation, "params": params}
         )

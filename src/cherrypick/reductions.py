@@ -24,12 +24,14 @@ partner in the orientation's first forest A (B is the other forest):
 * C3      -- x is an isolated vertex of the orientation's forest; remove
              x from both.
 
-``applicable_steps`` enumerates every legal step once; C1 and
-both-singleton C3 steps, whose two orientations have identical effect,
-are emitted with forward orientation only.
+``_pair_moves`` states the C1/C2 side conditions once: ``legal_moves``
+enumerates every legal step with it, and ``check_step`` looks a step up
+in it.  C1 and both-singleton C3 steps, whose two orientations have
+identical effect, are enumerated with forward orientation only.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadTerminal,
@@ -43,7 +45,29 @@ from .trees import (
     remove_leaf_traced,
 )
 
-RULES = ("C1", "C2a_i", "C2a_ii", "C2a_iii", "C2b_i", "C2b_ii", "C2c", "C3")
+
+class RuleParams(NamedTuple):
+    params: tuple  # the parameters a step of the rule carries
+    cuts: tuple  # the allowed values of its ``cut`` parameter
+    unmet: str  # the error when its side conditions (stated in _pair_moves) fail
+
+
+_NO_Z = "no cherry ({x},z) with z != {y} in the other forest"
+_NO_SHAPE = _NO_Z + ", or (({x},{y}),%s) is not a proper pendant subtree"
+_NOT_C2B = "{x} and {y} are not in one tree of the other forest, or one is in a cherry there"
+_NOT_C2C = "{x} and {y} share a tree of the other forest, or one is isolated or in a cherry there"
+
+RULE_PARAMS = {
+    "C1": RuleParams(("y",), (), "({x},{y}) is not a cherry of the other forest"),
+    "C2a_i": RuleParams(("y", "cut"), ("e_x", "e_y"), _NO_Z),
+    "C2a_ii": RuleParams(("y", "p", "cut"), ("e_p", "e_xyp"), _NO_SHAPE % "{p}"),
+    "C2a_iii": RuleParams(("y", "p", "q", "cut"), ("e_p", "e_q", "e_pq"), _NO_SHAPE % "({p},{q})"),
+    "C2b_i": RuleParams(("y", "cut"), ("e_x", "e_y"), _NOT_C2B),
+    "C2b_ii": RuleParams(("y", "cut"), ("c2b_edge",), _NOT_C2B),
+    "C2c": RuleParams(("y", "cut"), ("e_x", "e_y"), _NOT_C2C),
+    "C3": RuleParams((), (), "{x} is not an isolated vertex of its forest"),
+}
+RULES = tuple(RULE_PARAMS)
 C2_RULES = frozenset(r for r in RULES if r.startswith("C2"))
 
 
@@ -120,17 +144,60 @@ def _sides(F, F2, orientation):
     return (F, F2) if orientation == "forward" else (F2, F)
 
 
-def _resolve_shape(shapes, step):
-    if step.rule == "C2a_ii":
-        for s in shapes:
-            if s.kind == "xyp" and s.proper and s.p == step.p:
-                return s
-        return None
-    want = tuple(sorted((step.p, step.q))) if step.q else None
-    for s in shapes:
-        if s.kind == "xypq" and s.proper and (s.p, s.q) == want:
-            return s
-    return None
+def _pair_moves(A, B, x, y, orientation):
+    """Each legal C1/C2 step for the ordered cherry (x, y) of A, paired
+    with its resolved action; B is the other forest of the orientation.
+
+    This is the one statement of the C1/C2 side conditions.  C1 is
+    yielded for the forward orientation only, as both orientations have
+    the same effect.  Moves come lazily and cheapest first, so a lookup
+    that stops at its match skips the pendant-shape and x--y path
+    searches when it can.
+    """
+    side = 0 if orientation == "forward" else 1
+    partners = B.cherry_partners(x)
+    if side == 0 and y in partners:
+        yield ReductionStep(x, "C1", orientation, y=y), ("drop", x)
+    if any(z != y for z in partners):
+        rule = "C2a_i"
+    elif partners or B.cherry_partners(y):
+        return
+    elif B.component_index(x) == B.component_index(y):
+        rule = "C2b_i"
+    elif B.is_singleton(x) or B.is_singleton(y):
+        return
+    else:
+        rule = "C2c"
+    comp = A.component_index(x)
+    tree = A.components[comp]
+    for cut, leaf in (("e_x", x), ("e_y", y)):
+        action = ("cut", side, comp, tree.pendant_edge(leaf))
+        yield ReductionStep(x, rule, orientation, y=y, cut=cut), action
+    if rule == "C2a_i":
+        for shape in pendant_shapes(tree, (x, y)):
+            if not shape.proper:
+                continue
+            if shape.kind == "xyp":
+                shape_rule = "C2a_ii"
+                cuts = (("e_p", shape.e_p), ("e_xyp", shape.cut_edge))
+            else:
+                shape_rule = "C2a_iii"
+                cuts = (("e_p", shape.e_p), ("e_q", shape.e_q), ("e_pq", shape.e_pq))
+            for cut, edge in cuts:
+                step = ReductionStep(
+                    x, shape_rule, orientation, y=y, p=shape.p, q=shape.q, cut=cut
+                )
+                yield step, ("cut", side, comp, edge)
+    elif rule == "C2b_i":
+        # C2b_ii cuts the edge of B at x's neighbour that avoids the x--y path
+        b_comp = B.component_index(x)
+        btree = B.components[b_comp]
+        xv, yv = btree.vertex_of[x], btree.vertex_of[y]
+        (u,) = btree.adj[xv]
+        on_path = set(btree.path(xv, yv))
+        (w,) = [n for n in btree.adj[u] if n != xv and n not in on_path]
+        action = ("cut", 1 - side, b_comp, tuple(sorted((u, w))))
+        yield ReductionStep(x, "C2b_ii", orientation, y=y, cut="c2b_edge"), action
 
 
 def check_step(F, F2, step):
@@ -138,125 +205,59 @@ def check_step(F, F2, step):
 
     The action is ("drop", label) for C1/C3 or ("cut", side, component
     index, edge) for the C2 family, where side 0 cuts the first forest.
-    Raises InapplicableStep naming the violated side condition.
+    Parameters the rule does not use are ignored, and a C2a_iii step may
+    name p and q in either order.  Raises InapplicableStep naming the
+    violated side condition.
     """
     if F.ground_set != F2.ground_set:
         raise GroundSetMismatch("forests are on different label sets")
-    x = step.label
+    x, rule, orientation = step.label, step.rule, step.orientation
     if x not in F.ground_set:
         raise InapplicableStep("label %r is not in the ground set" % (x,))
-    if step.rule not in RULES:
-        raise InapplicableStep("unknown rule %r" % (step.rule,))
-    if step.orientation not in ("forward", "reversed"):
-        raise InapplicableStep("unknown orientation %r" % (step.orientation,))
-    A, B = _sides(F, F2, step.orientation)
-    a_side = 0 if step.orientation == "forward" else 1
-
-    if step.rule == "C3":
+    if rule not in RULE_PARAMS:
+        raise InapplicableStep("unknown rule %r" % (rule,))
+    if orientation not in ("forward", "reversed"):
+        raise InapplicableStep("unknown orientation %r" % (orientation,))
+    params, cuts, unmet = RULE_PARAMS[rule]
+    if cuts and step.cut not in cuts:
+        raise InapplicableStep("%s cut must be one of %s" % (rule, ", ".join(cuts)))
+    if rule == "C1":
+        orientation = "forward"  # both orientations have the same effect
+    A, B = _sides(F, F2, orientation)
+    if rule == "C3":
         if not A.is_singleton(x):
-            raise InapplicableStep("%s is not an isolated vertex of its forest" % x)
+            raise InapplicableStep(unmet.format(x=x))
         return ("drop", x)
 
-    y = step.y
+    fields = {k: getattr(step, k) for k in params}
+    y = fields["y"]
     if y is None or y == x or y not in F.ground_set:
         raise InapplicableStep("missing or invalid cherry partner")
-    pair = tuple(sorted((x, y)))
-
-    if step.rule == "C1":
-        if not A.has_cherry(pair):
-            raise InapplicableStep("(%s,%s) is not a cherry of the first forest" % pair)
-        if not B.has_cherry(pair):
-            raise InapplicableStep("(%s,%s) is not a cherry of the other forest" % pair)
-        return ("drop", x)
-
-    # every C2 rule needs the cherry (x, y) in A
-    if not A.has_cherry(pair):
-        raise InapplicableStep("(%s,%s) is not a cherry of the reduced forest" % pair)
-    comp_idx = A.component_index(x)
-    tree = A.components[comp_idx]
-
-    if step.rule in ("C2a_i", "C2a_ii", "C2a_iii"):
-        if not any(z not in (x, y) for z in B.cherry_partners(x)):
-            raise InapplicableStep(
-                "no cherry (%s,z) with z != %s in the other forest" % (x, y)
-            )
-        if step.rule == "C2a_i":
-            if step.cut == "e_x":
-                return ("cut", a_side, comp_idx, tree.pendant_edge(x))
-            if step.cut == "e_y":
-                return ("cut", a_side, comp_idx, tree.pendant_edge(y))
-            raise InapplicableStep("C2a_i cut must be e_x or e_y")
-        shapes = pendant_shapes(tree, pair)
-        shape = _resolve_shape(shapes, step)
-        if shape is None:
-            kind = "((x,y),p)" if step.rule == "C2a_ii" else "((x,y),(p,q))"
-            raise InapplicableStep("%s is not a proper pendant subtree here" % kind)
-        if step.rule == "C2a_ii":
-            if step.cut == "e_p":
-                return ("cut", a_side, comp_idx, shape.e_p)
-            if step.cut == "e_xyp":
-                return ("cut", a_side, comp_idx, shape.cut_edge)
-            raise InapplicableStep("C2a_ii cut must be e_p or e_xyp")
-        if step.cut == "e_p":
-            return ("cut", a_side, comp_idx, tree.pendant_edge(step.p))
-        if step.cut == "e_q":
-            return ("cut", a_side, comp_idx, tree.pendant_edge(step.q))
-        if step.cut == "e_pq":
-            return ("cut", a_side, comp_idx, shape.e_pq)
-        raise InapplicableStep("C2a_iii cut must be e_p, e_q, or e_pq")
-
-    if step.rule in ("C2b_i", "C2b_ii"):
-        if B.component_index(x) != B.component_index(y):
-            raise InapplicableStep("%s and %s are in different trees of the other forest" % (x, y))
-        for lab in (x, y):
-            if B.cherry_partners(lab):
-                raise InapplicableStep("%s is in a cherry of the other forest" % lab)
-        if step.rule == "C2b_i":
-            if step.cut == "e_x":
-                return ("cut", a_side, comp_idx, tree.pendant_edge(x))
-            if step.cut == "e_y":
-                return ("cut", a_side, comp_idx, tree.pendant_edge(y))
-            raise InapplicableStep("C2b_i cut must be e_x or e_y")
-        # C2b_ii: the edge of B at x's neighbour that avoids the x--y path
-        if step.cut != "c2b_edge":
-            raise InapplicableStep("C2b_ii cut must be c2b_edge")
-        b_idx = B.component_index(x)
-        btree = B.components[b_idx]
-        xv, yv = btree.vertex_of[x], btree.vertex_of[y]
-        (u,) = btree.adj[xv]
-        on_path = set(btree.path(xv, yv))
-        (w,) = [n for n in btree.adj[u] if n != xv and n not in on_path]
-        return ("cut", 1 - a_side, b_idx, tuple(sorted((u, w))))
-
-    if step.rule == "C2c":
-        if B.component_index(x) == B.component_index(y):
-            raise InapplicableStep("%s and %s are in the same tree of the other forest" % (x, y))
-        for lab in (x, y):
-            if B.is_singleton(lab):
-                raise InapplicableStep("%s is an isolated vertex of the other forest" % lab)
-            if B.cherry_partners(lab):
-                raise InapplicableStep("%s is in a cherry of the other forest" % lab)
-        if step.cut == "e_x":
-            return ("cut", a_side, comp_idx, tree.pendant_edge(x))
-        if step.cut == "e_y":
-            return ("cut", a_side, comp_idx, tree.pendant_edge(y))
-        raise InapplicableStep("C2c cut must be e_x or e_y")
-
-    raise InapplicableStep("unknown rule %r" % (step.rule,))
+    if not A.has_cherry((x, y)):
+        raise InapplicableStep("(%s,%s) is not a cherry of the reduced forest" % (x, y))
+    if rule == "C2a_iii" and step.p and step.q and step.q < step.p:
+        # enumeration names p < q; swapping p and q swaps e_p and e_q
+        cut = {"e_p": "e_q", "e_q": "e_p"}.get(step.cut, step.cut)
+        fields.update(p=step.q, q=step.p, cut=cut)
+    want = ReductionStep(x, rule, orientation, **fields)
+    for move, action in _pair_moves(A, B, x, y, orientation):
+        if move == want:
+            return action
+    raise InapplicableStep(unmet.format(x=x, y=y, p=step.p, q=step.q))
 
 
 # ---------------------------------------------------------------------------
 # applying steps
 
 
-def apply_step_traced(F, F2, step):
-    """Apply a step, returning (F', F2', record).
+def apply_action(F, F2, action):
+    """Carry out a resolved action (see ``check_step``) without checking
+    it; returns (F', F2', record).
 
     The record is ("drop", left LeafRemoval, right LeafRemoval) or
     ("cut", side, EdgeRemoval); it carries the vertex bookkeeping the
     network builder consumes.
     """
-    action = check_step(F, F2, step)
     if action[0] == "drop":
         x = action[1]
         nF, rec_l = remove_leaf_traced(F, x)
@@ -271,7 +272,8 @@ def apply_step_traced(F, F2, step):
 
 
 def apply_step(F, F2, step):
-    nF, nF2, _ = apply_step_traced(F, F2, step)
+    """Check a step and apply it; returns (F', F2')."""
+    nF, nF2, _ = apply_action(F, F2, check_step(F, F2, step))
     return nF, nF2
 
 
@@ -279,66 +281,34 @@ def apply_step(F, F2, step):
 # enumeration
 
 
-def applicable_steps(F, F2):
-    """The complete, duplicate-free, deterministically ordered list of
-    steps legal at a state.  Terminal states (one label left) admit no
-    steps."""
+def legal_moves(F, F2):
+    """Every step legal at a state, paired with its resolved action, in
+    step order.  Terminal states (one label left) admit no steps."""
     if F.ground_set != F2.ground_set:
         raise GroundSetMismatch("forests are on different label sets")
     if not F.ground_set:
         raise GroundSetMismatch("forests are empty")
-    steps = set()
     if len(F.ground_set) == 1:
         return []
-
+    moves = []
     for orientation in ("forward", "reversed"):
         A, B = _sides(F, F2, orientation)
         for a, b in A.cherries():
-            if orientation == "forward" and B.has_cherry((a, b)):
-                steps.add(ReductionStep(a, "C1", "forward", y=b))
-                steps.add(ReductionStep(b, "C1", "forward", y=a))
-            for x, y in ((a, b), (b, a)):
-                has_z = any(z not in (x, y) for z in B.cherry_partners(x))
-                if has_z:
-                    for cut in ("e_x", "e_y"):
-                        steps.add(ReductionStep(x, "C2a_i", orientation, y=y, cut=cut))
-                    tree = A.component_of(x)
-                    for shape in pendant_shapes(tree, (a, b)):
-                        if not shape.proper:
-                            continue
-                        if shape.kind == "xyp":
-                            for cut in ("e_p", "e_xyp"):
-                                steps.add(
-                                    ReductionStep(
-                                        x, "C2a_ii", orientation, y=y, p=shape.p, cut=cut
-                                    )
-                                )
-                        else:
-                            for cut in ("e_p", "e_q", "e_pq"):
-                                steps.add(
-                                    ReductionStep(
-                                        x, "C2a_iii", orientation,
-                                        y=y, p=shape.p, q=shape.q, cut=cut,
-                                    )
-                                )
-                x_cherryfree = not B.cherry_partners(x)
-                y_cherryfree = not B.cherry_partners(y)
-                if x_cherryfree and y_cherryfree:
-                    if B.component_index(x) == B.component_index(y):
-                        for cut in ("e_x", "e_y"):
-                            steps.add(ReductionStep(x, "C2b_i", orientation, y=y, cut=cut))
-                        steps.add(ReductionStep(x, "C2b_ii", orientation, y=y, cut="c2b_edge"))
-                    elif not B.is_singleton(x) and not B.is_singleton(y):
-                        for cut in ("e_x", "e_y"):
-                            steps.add(ReductionStep(x, "C2c", orientation, y=y, cut=cut))
-
-    for lab in sorted(F.ground_set):
+            moves.extend(_pair_moves(A, B, a, b, orientation))
+            moves.extend(_pair_moves(A, B, b, a, orientation))
+    for lab in F.ground_set:
         if F.is_singleton(lab):
-            steps.add(ReductionStep(lab, "C3", "forward"))
+            moves.append((ReductionStep(lab, "C3", "forward"), ("drop", lab)))
         elif F2.is_singleton(lab):
-            steps.add(ReductionStep(lab, "C3", "reversed"))
+            moves.append((ReductionStep(lab, "C3", "reversed"), ("drop", lab)))
+    moves.sort(key=lambda move: move[0].sort_key())
+    return moves
 
-    return sorted(steps, key=ReductionStep.sort_key)
+
+def applicable_steps(F, F2):
+    """The complete, duplicate-free, deterministically ordered list of
+    steps legal at a state."""
+    return [step for step, _ in legal_moves(F, F2)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +334,7 @@ def replay_trace(F, F2, trace):
     cur_F, cur_F2 = F, F2
     for i, step in enumerate(trace.steps):
         try:
-            cur_F, cur_F2, rec = apply_step_traced(cur_F, cur_F2, step)
+            cur_F, cur_F2, rec = apply_action(cur_F, cur_F2, check_step(cur_F, cur_F2, step))
         except (InapplicableStep, GroundSetMismatch) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost

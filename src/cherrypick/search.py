@@ -13,15 +13,18 @@ ordering, also when the greedy sequence is already optimal.
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import GroundSetMismatch, NotATree
 from .reductions import (
     ReductionStep,
     ReductionTrace,
+    _pair_moves,
     applicable_steps,
+    apply_action,
     apply_step,
+    legal_moves,
 )
-from .trees import classify
 
 
 class _BudgetExceeded(Exception):
@@ -91,26 +94,16 @@ def _free_step(F, F2):
 
 def _greedy_pick(F, F2):
     """Choose the next step(s) following the existence argument: take the
-    first free C1/C3 step, otherwise cut the pendant edge of a cherry leaf
-    and then drop it, giving the (x, x, ...) pattern."""
+    first free C1/C3 step, otherwise cut the pendant edge of a leaf of the
+    first cherry and then drop that leaf, giving the (x, x, ...) pattern."""
     free = _free_step(F, F2)
     if free is not None:
         return [free]
-    # F has no isolated vertex, so it has a cherry
+    # F has no isolated vertex, so it has a cherry; with no free step, one
+    # of its orderings has C2 moves, and the first of them cuts e_x
     x, y = F.cherries()[0]
-    case = classify(F, F2, (x, y))
-    if case.case == "ii":
-        anchors = [w[0] for w in case.witnesses]
-        lab = x if x in anchors else y
-        partner = y if lab == x else x
-        rule = "C2a_i"
-    elif case.case == "iii":
-        lab, partner, rule = x, y, "C2b_i"
-    else:
-        lab, partner, rule = x, y, "C2c"
-    cut = ReductionStep(lab, rule, "forward", y=partner, cut="e_x")
-    drop = ReductionStep(lab, "C3", "forward")
-    return [cut, drop]
+    cut, _ = next(chain(_pair_moves(F, F2, x, y, "forward"), _pair_moves(F, F2, y, x, "forward")))
+    return [cut, ReductionStep(cut.label, "C3", "forward")]
 
 
 def greedy_cps(F, F2):
@@ -156,7 +149,10 @@ class _Searcher:
     steps, not with the label count.
 
     A state without a free step has only C2 steps, all of cost one, and a
-    child is built only when that cost is below the current best.
+    child is built only when that cost is below the current best.  The
+    search applies the actions its own enumeration resolved, and a free
+    step is always a drop, so no step is checked twice; the witness walk
+    and ``greedy_cps`` go through the checked ``apply_step``.
     """
 
     def __init__(self, budget=None):
@@ -210,7 +206,7 @@ class _Searcher:
                 break
             self.stats.forced += 1
             self.stats.applied += 1
-            F, F2 = apply_step(F, F2, step)
+            F, F2, _ = apply_action(F, F2, ("drop", step.label))
         exact = best < cutoff
         for key in chain:
             self._store(key, best, exact)
@@ -221,8 +217,8 @@ class _Searcher:
         best = cutoff
         if best <= 1:
             return best
-        for step in applicable_steps(F, F2):
-            nF, nF2 = apply_step(F, F2, step)
+        for _, action in legal_moves(F, F2):
+            nF, nF2, _ = apply_action(F, F2, action)
             self.stats.applied += 1
             best = min(best, 1 + self.residual(nF, nF2, best - 1))
             if best <= 1:

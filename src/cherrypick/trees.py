@@ -600,13 +600,12 @@ def remove_edge_traced(forest, component_index, edge):
 @dataclass(frozen=True)
 class EdgeRef:
     """A forest edge named semantically so references survive re-parsing:
-    by the leaf whose pendant edge it is, by the leaf set of the pendant
-    subtree it cuts off, or (internally) by explicit vertex ids."""
+    by the leaf whose pendant edge it is, or by the leaf set of the
+    pendant subtree it cuts off."""
 
-    kind: str  # "pendant" | "subtree" | "explicit"
+    kind: str  # "pendant" | "subtree"
     label: str = None
     subtree_leaves: frozenset = None
-    endpoints: tuple = None
 
 
 def pendant_of(label):
@@ -615,10 +614,6 @@ def pendant_of(label):
 
 def subtree_edge(leaves):
     return EdgeRef("subtree", subtree_leaves=frozenset(leaves))
-
-
-def explicit_edge(u, v):
-    return EdgeRef("explicit", endpoints=_edge(u, v))
 
 
 def resolve_edge_ref(forest, ref):
@@ -646,12 +641,6 @@ def resolve_edge_ref(forest, ref):
             if tree.side_leaves((u, v), u) == leaves or tree.side_leaves((u, v), v) == leaves:
                 return idx, (u, v)
         raise InvalidEdgeRef("no pendant subtree with leaves %s" % sorted(leaves))
-    if ref.kind == "explicit":
-        u, v = ref.endpoints
-        for idx, tree in enumerate(forest.components):
-            if tree.has_edge(u, v):
-                return idx, _edge(u, v)
-        raise InvalidEdgeRef("edge %r not in forest" % (ref.endpoints,))
     raise InvalidEdgeRef("unknown selector kind %r" % (ref.kind,))
 
 

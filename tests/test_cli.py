@@ -195,6 +195,34 @@ def test_build_network_command(files, capsys):
     parse_network(open(net_out).read())
 
 
+def test_build_network_ground_mismatch_exit_3(files, capsys):
+    tmp, write = files
+    f1 = write("f1.nwk", QUARTET_A)
+    f2 = write("f2.nwk", "((1,2),(3,5));\n")
+    trace = write("trace.json", "[]")
+    net_out = str(tmp / "net.txt")
+    argv = ["--forest1", f1, "--forest2", f2, "--trace", trace]
+    code, _, err = run_main(["build-network", *argv, "--out", net_out], capsys)
+    assert code == 3 and "label sets" in err
+
+
+def test_unwritable_output_path_exit_2(files, capsys):
+    tmp, write = files
+    f1 = write("f1.nwk", QUARTET_A)
+    f2 = write("f2.nwk", QUARTET_B)
+    trace = str(tmp / "trace.json")
+    run_main(["hybrid", "--forest1", f1, "--forest2", f2, "--trace-out", trace], capsys)
+    missing = str(tmp / "missing" / "out.txt")
+    pair = ["--forest1", f1, "--forest2", f2]
+    for argv in (
+        ["hybrid", *pair, "--trace-out", missing],
+        ["hybrid", *pair, "--network-out", missing],
+        ["build-network", *pair, "--trace", trace, "--out", missing],
+    ):
+        code, _, err = run_main(argv, capsys)
+        assert code == 2 and "cannot write %s" % missing in err
+
+
 def test_displays_no(files, capsys):
     tmp, write = files
     net = write(

@@ -15,9 +15,11 @@ from cherrypick.reductions import (
     ReductionStep,
     ReductionTrace,
     applicable_steps,
+    apply_action,
     apply_step,
     check_step,
     labels_of,
+    legal_moves,
     validate_trace,
 )
 from cherrypick.trees import canonical_form
@@ -164,6 +166,49 @@ def test_apply_c2a_iii_rejected_on_whole_quartet():
     step = ReductionStep("1", "C2a_iii", "forward", y="2", p="3", q="4", cut="e_pq")
     with pytest.raises(InapplicableStep):
         apply_step(F, F2, step)
+
+
+# ---------------------------------------------------------------------------
+# lookup of a step among the enumerated moves
+
+
+def test_check_step_resolves_every_enumerated_move():
+    rng = seeded_rng(808)
+    for n in range(4, 9):
+        labels = [str(i) for i in range(1, n + 1)]
+        for _ in range(6):
+            F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+            for step, action in legal_moves(F, F2):
+                assert check_step(F, F2, step) == action
+                nF, nF2, _ = apply_action(F, F2, action)
+                assert apply_step(F, F2, step) == (nF, nF2)
+
+
+def test_c2a_iii_accepts_p_and_q_in_either_order():
+    F = parse_forest("((1,2),((3,4),(5,6)));")
+    F2 = parse_forest("((1,3),((2,4),(5,6)));")
+    for cut, twin_cut in (("e_p", "e_q"), ("e_q", "e_p"), ("e_pq", "e_pq")):
+        step = ReductionStep("1", "C2a_iii", "forward", y="2", p="4", q="3", cut=cut)
+        twin = ReductionStep("1", "C2a_iii", "forward", y="2", p="3", q="4", cut=twin_cut)
+        assert check_step(F, F2, step) == check_step(F, F2, twin)
+        assert apply_step(F, F2, step) == apply_step(F, F2, twin)
+    # e_p is the pendant edge of the p the step names
+    step = ReductionStep("1", "C2a_iii", "forward", y="2", p="4", q="3", cut="e_p")
+    assert apply_step(F, F2, step)[0].is_singleton("4")
+
+
+def test_orientation_symmetric_steps_accepted_reversed():
+    # (2,3) is a cherry of both forests and 1 is isolated in both, so C1
+    # and C3 are enumerated forward only, yet the reversed forms replay
+    F, F2 = state("1;\n(2,3);", "1;\n(2,3);")
+    for step in (
+        ReductionStep("2", "C1", "reversed", y="3"),
+        ReductionStep("1", "C3", "reversed"),
+    ):
+        forward = ReductionStep(step.label, step.rule, "forward", y=step.y)
+        assert step not in applicable_steps(F, F2) and forward in applicable_steps(F, F2)
+        assert check_step(F, F2, step) == check_step(F, F2, forward)
+        assert apply_step(F, F2, step) == apply_step(F, F2, forward)
 
 
 # ---------------------------------------------------------------------------
