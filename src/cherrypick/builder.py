@@ -10,19 +10,27 @@ displays both starting forests.
 Throughout the reverse replay the builder maintains, for every edge of
 both current forests, an explicit path of network vertices (its image).
 These paths are what make the insertion points of the undo operations
-well defined after arbitrarily many subdivisions, and they are verified
-for path validity and per-forest disjointness after every step.
+well defined after arbitrarily many subdivisions.  Per forest, a network
+edge lies on at most one image, so an index from network edge to the
+image using it lets a subdivision patch just that path, and the network
+keeps a running edge count, so each step costs what it touches.  The
+images are still verified in full after every step: every path of both
+forests for validity, endpoints and leaf placement, and the components
+of each forest for vertex-disjointness.
 """
 
 from .errors import (
     BadTerminal,
-    GroundSetMismatch,
     ImageTrackingError,
     InvalidTrace,
     ReplayError,
 )
 from .networks import PseudoNetwork, reticulation_number
 from .reductions import replay_trace
+
+
+def _key(u, v):
+    return (u, v) if u < v else (v, u)
 
 
 class BuildState:
@@ -34,11 +42,14 @@ class BuildState:
         self.labels = {0: terminal_label}
         self.vertex_of = {terminal_label: 0}
         self.next_id = 1
+        self.edge_count = 0
         # per side: tree vertex id -> network vertex
         self.vmap = ({terminal_vertices[0]: 0}, {terminal_vertices[1]: 0})
         # per side: sorted tree-edge pair -> list of network vertices,
         # oriented from the image of the smaller tree vertex id
         self.epath = ({}, {})
+        # per side: sorted network-edge pair -> key of the image using it
+        self.owner = ({}, {})
 
     # -- network primitives --------------------------------------------------
 
@@ -49,14 +60,16 @@ class BuildState:
         return v
 
     def _connect(self, u, v):
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        if v not in self.adj[u]:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+            self.edge_count += 1
 
     def num_edges(self):
-        return sum(len(ns) for ns in self.adj.values()) // 2
+        return self.edge_count
 
     def reticulation(self):
-        return self.num_edges() - len(self.adj) + 1
+        return self.edge_count - len(self.adj) + 1
 
     def edges(self):
         return [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
@@ -67,21 +80,29 @@ class BuildState:
         return (v, u)
 
     def subdivide(self, u, v):
-        """Split network edge {u, v} with a fresh vertex and patch every
-        stored image path through it."""
+        """Split network edge {u, v} with a fresh vertex and patch the
+        image path through it on each side, if there is one."""
         if v not in self.adj[u]:
             raise ImageTrackingError("edge (%r, %r) is not in the network" % (u, v))
         w = self._new_vertex()
         self.adj[u].discard(v)
         self.adj[v].discard(u)
+        self.edge_count -= 1
         self._connect(u, w)
         self._connect(w, v)
         for side in (0, 1):
-            for path in self.epath[side].values():
-                for i in range(len(path) - 1):
-                    if {path[i], path[i + 1]} == {u, v}:
-                        path.insert(i + 1, w)
-                        break
+            key = self.owner[side].pop(_key(u, v), None)
+            if key is None:
+                continue
+            path = self.epath[side][key]
+            i = path.index(u)
+            if i + 1 < len(path) and path[i + 1] == v:
+                path.insert(i + 1, w)
+            elif i > 0 and path[i - 1] == v:
+                path.insert(i, w)
+            else:
+                raise ImageTrackingError("indexed image misses edge (%r, %r)" % (u, v))
+            self._own(side, key, ((u, w), (w, v)))
         return w
 
     def add_leaf(self, label, attach):
@@ -93,22 +114,37 @@ class BuildState:
 
     # -- image-path bookkeeping ----------------------------------------------
 
+    def _own(self, side, key, network_edges):
+        owner = self.owner[side]
+        for u, v in network_edges:
+            e = _key(u, v)
+            if owner.setdefault(e, key) != key:
+                raise ImageTrackingError(
+                    "network edge %r lies on two images of one forest" % (e,)
+                )
+
     def set_path(self, side, a, b, path_from_a_to_b):
-        key = (a, b) if a < b else (b, a)
+        key = _key(a, b)
+        if key in self.epath[side]:
+            raise ImageTrackingError("forest edge %r already has an image" % (key,))
         path = list(path_from_a_to_b)
         if b < a:
             path.reverse()
         self.epath[side][key] = path
+        self._own(side, key, zip(path, path[1:]))
 
     def pop_path(self, side, a, b):
-        key = (a, b) if a < b else (b, a)
+        key = _key(a, b)
         path = self.epath[side].pop(key, None)
         if path is None:
             raise ImageTrackingError("no tracked image for forest edge %r" % (key,))
+        owner = self.owner[side]
+        for u, v in zip(path, path[1:]):
+            owner.pop(_key(u, v), None)
         return path if a < b else list(reversed(path))
 
     def peek_path(self, side, a, b):
-        key = (a, b) if a < b else (b, a)
+        key = _key(a, b)
         path = self.epath[side].get(key)
         if path is None:
             raise ImageTrackingError("no tracked image for forest edge %r" % (key,))
@@ -231,31 +267,41 @@ class BuildState:
     def verify_images(self, state):
         """Check that the tracked images of both forests of `state` are
         valid vertex-disjoint subdivisions inside the current network."""
+        adj = self.adj
         for side, forest in enumerate(state):
+            vmap, epath = self.vmap[side], self.epath[side]
             claimed = set()
             for tree in forest.components:
                 comp_vertices = set()
-                for tv in tree.adj:
-                    nv = self.vmap[side].get(tv)
-                    if nv is None:
-                        raise ImageTrackingError("unmapped tree vertex %r" % (tv,))
-                    comp_vertices.add(nv)
-                for a, b in tree.edges():
-                    path = self.peek_path(side, a, b)
-                    if path[0] != self.vmap[side][a] or path[-1] != self.vmap[side][b]:
-                        raise ImageTrackingError("path endpoints out of sync")
-                    for u, v in zip(path, path[1:]):
-                        if v not in self.adj[u]:
-                            raise ImageTrackingError("tracked path leaves the network")
-                    comp_vertices.update(path)
-                overlap = claimed & comp_vertices
-                if overlap:
+                for a in tree.adj:
+                    if a not in vmap:
+                        raise ImageTrackingError("unmapped tree vertex %r" % (a,))
+                    comp_vertices.add(vmap[a])
+                for a, ns in tree.adj.items():
+                    for b in ns:
+                        if b < a:
+                            continue
+                        path = epath.get((a, b))
+                        if path is None:
+                            raise ImageTrackingError(
+                                "no tracked image for forest edge %r" % ((a, b),)
+                            )
+                        if path[0] != vmap[a] or path[-1] != vmap[b]:
+                            raise ImageTrackingError("path endpoints out of sync")
+                        u = path[0]
+                        for v in path[1:]:
+                            if v not in adj[u]:
+                                raise ImageTrackingError("tracked path leaves the network")
+                            u = v
+                        comp_vertices.update(path)
+                if not claimed.isdisjoint(comp_vertices):
                     raise ImageTrackingError(
-                        "component images share vertices %s" % sorted(overlap)
+                        "component images share vertices %s"
+                        % sorted(claimed & comp_vertices)
                     )
                 claimed |= comp_vertices
-                for lab in tree.leaf_labels:
-                    if self.vmap[side][tree.vertex_of[lab]] != self.vertex_of[lab]:
+                for lab, tv in tree.vertex_of.items():
+                    if vmap[tv] != self.vertex_of[lab]:
                         raise ImageTrackingError("leaf %r mapped to the wrong vertex" % lab)
 
 
@@ -264,7 +310,7 @@ def build_network(F, F2, trace, verify=True):
     forests, with reticulation number at most the trace weight."""
     try:
         replay = replay_trace(F, F2, trace)
-    except (ReplayError, BadTerminal, GroundSetMismatch) as exc:
+    except (ReplayError, BadTerminal) as exc:
         raise InvalidTrace(str(exc))
 
     last_F, last_F2 = replay.states[-1]

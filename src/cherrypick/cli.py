@@ -10,6 +10,7 @@ object.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -71,6 +72,23 @@ def _write(path, text):
         raise ParseError("cannot write %s: %s" % (path, exc))
 
 
+def _write_all(outputs):
+    """Write each (path, text) pair; if a write fails, remove the files
+    already written, so a failed run leaves no partial output behind."""
+    written = []
+    try:
+        for path, text in outputs:
+            _write(path, text)
+            written.append(path)
+    except ParseError:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
+
+
 def _report(args, command, inputs, outcome, started, human_lines):
     if args.json:
         print(
@@ -108,12 +126,14 @@ def _cmd_hybrid(args, started):
         )
         return EXIT_BUDGET
     weight = result.min_weight
+    outputs = []
     if args.trace_out:
-        _write(args.trace_out, serialize_trace(result.witness))
+        outputs.append((args.trace_out, serialize_trace(result.witness)))
     network = None
     if args.network_out:
         network = build_network(F, F2, result.witness)
-        _write(args.network_out, serialize_network(network))
+        outputs.append((args.network_out, serialize_network(network)))
+    _write_all(outputs)
     outcome = {
         "status": "exact",
         "hybrid_number": weight,

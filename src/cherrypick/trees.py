@@ -286,6 +286,13 @@ class EdgeRemoval:
     effects: tuple  # one EndpointEffect per endpoint, in edge order
 
 
+def _join(adj, n1, n2, z):
+    """Replace the path n1 - z - n2 by the edge n1 - n2 in an adjacency
+    dict of frozensets; z itself must already be gone from `adj`."""
+    adj[n1] = adj[n1] - {z} | {n2}
+    adj[n2] = adj[n2] - {z} | {n1}
+
+
 def tree_remove_leaf(tree, label):
     """Remove a leaf from a tree; returns (new tree or None, record)."""
     if label not in tree.vertex_of:
@@ -300,11 +307,10 @@ def tree_remove_leaf(tree, label):
         return PhyloTree({pv: frozenset()}, {pv: plab}), rec
     (u,) = tree.adj[xv]
     n1, n2 = sorted(tree.adj[u] - {xv})
-    adj = {v: set(ns) for v, ns in tree.adj.items() if v not in (xv, u)}
-    adj[n1].discard(u)
-    adj[n2].discard(u)
-    adj[n1].add(n2)
-    adj[n2].add(n1)
+    # untouched vertices share the parent's frozensets
+    adj = dict(tree.adj)
+    del adj[xv], adj[u]
+    _join(adj, n1, n2, u)
     labels = {v: l for v, l in tree.labels.items() if v != xv}
     rec = LeafRemoval(label, "suppressed", xv, suppressed_vertex=u, merged_edge=(n1, n2))
     return PhyloTree(adj, labels), rec
@@ -317,20 +323,17 @@ def tree_remove_edge(tree, edge):
     a, b = edge
     if not tree.has_edge(a, b):
         raise InvalidEdgeRef("edge %r not in tree" % (edge,))
-    adj = {v: set(ns) for v, ns in tree.adj.items()}
-    adj[a].discard(b)
-    adj[b].discard(a)
+    # untouched vertices share the parent's frozensets
+    adj = dict(tree.adj)
+    adj[a] = adj[a] - {b}
+    adj[b] = adj[b] - {a}
     effects = []
     for z in (a, b):
         if z in tree.labels:
             effects.append(EndpointEffect(z, "leaf", label=tree.labels[z]))
         else:
-            n1, n2 = sorted(adj[z])
-            del adj[z]
-            adj[n1].discard(z)
-            adj[n2].discard(z)
-            adj[n1].add(n2)
-            adj[n2].add(n1)
+            n1, n2 = sorted(adj.pop(z))
+            _join(adj, n1, n2, z)
             effects.append(EndpointEffect(z, "suppressed", merged_edge=(n1, n2)))
     comps = []
     for z, eff in zip((a, b), effects):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from cherrypick.builder import build_network
-from cherrypick.errors import InvalidTrace
+from cherrypick.builder import BuildState, build_network
+from cherrypick.errors import GroundSetMismatch, ImageTrackingError, InvalidTrace
 from cherrypick.generate import random_forest_pair, seeded_rng
 from cherrypick.networks import network_from_tree, reticulation_number
 from cherrypick.newick import parse_forest
@@ -116,3 +116,131 @@ def test_build_on_minimum_witnesses():
         assert reticulation_number(net) <= result.min_weight
         assert displays(net, F) is not None
         assert displays(net, F2) is not None
+
+
+def test_ground_set_mismatch_propagates():
+    F = parse_forest("((1,2),(3,4));")
+    F2 = parse_forest("((1,3),(2,5));")
+    with pytest.raises(GroundSetMismatch):
+        build_network(F, F2, ReductionTrace(()))
+
+
+# -- negative tests: a corrupted image must fail verification ---------------
+
+# one forest has a singleton component, so there are two components whose
+# images can be made to overlap; the weight-1 witness adds a display edge,
+# so some images run through subdivision vertices
+CORRUPT_F = "((1,2),((3,4),6));\n5;"
+CORRUPT_F2 = "((1,3),((2,5),(4,6)));"
+
+
+def _final_build_state(monkeypatch):
+    """The BuildState of a finished build, with the forest pair its images
+    track (the starting pair)."""
+    F, F2 = parse_forest(CORRUPT_F), parse_forest(CORRUPT_F2)
+    states = []
+    verify = BuildState.verify_images
+
+    def spy(self, pair):
+        states.append(self)
+        verify(self, pair)
+
+    with monkeypatch.context() as m:
+        m.setattr(BuildState, "verify_images", spy)
+        build_network(F, F2, min_weight_cps(F, F2).witness)
+    state = states[-1]
+    state.verify_images((F, F2))  # uncorrupted, it passes
+    return state, (F, F2)
+
+
+def test_verify_rejects_a_vertex_dropped_from_a_path(monkeypatch):
+    state, pair = _final_build_state(monkeypatch)
+    for paths in state.epath:
+        for path in paths.values():
+            for i in range(1, len(path) - 1):
+                if path[i + 1] not in state.adj[path[i - 1]]:
+                    del path[i]
+                    with pytest.raises(ImageTrackingError, match="leaves the network"):
+                        state.verify_images(pair)
+                    return
+    pytest.fail("no image path has an interior vertex")
+
+
+def test_verify_rejects_an_unmapped_tree_vertex(monkeypatch):
+    state, pair = _final_build_state(monkeypatch)
+    del state.vmap[1][next(iter(pair[1].components[0].adj))]
+    with pytest.raises(ImageTrackingError, match="unmapped tree vertex"):
+        state.verify_images(pair)
+
+
+def test_verify_rejects_overlapping_component_images(monkeypatch):
+    state, pair = _final_build_state(monkeypatch)
+    F = pair[0]
+    (single,) = [t for t in F.components if t.num_vertices == 1]
+    (other,) = [t for t in F.components if t is not single]
+    (v,) = single.adj
+    state.vmap[0][v] = state.vmap[0][next(iter(other.adj))]
+    with pytest.raises(ImageTrackingError, match="share vertices"):
+        state.verify_images(pair)
+
+
+def test_verify_rejects_a_leaf_mapped_to_the_wrong_vertex(monkeypatch):
+    state, pair = _final_build_state(monkeypatch)
+    state.vertex_of["1"], state.vertex_of["2"] = state.vertex_of["2"], state.vertex_of["1"]
+    with pytest.raises(ImageTrackingError, match="mapped to the wrong vertex"):
+        state.verify_images(pair)
+
+
+def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):
+    # drop the owner-index entry of the last indexed edge to be subdivided:
+    # the image using that edge is not patched and no later undo reads it,
+    # so only the verification after the step can notice
+    F, F2 = parse_forest(CORRUPT_F), parse_forest(CORRUPT_F2)
+    trace = min_weight_cps(F, F2).witness
+    subdivide = BuildState.subdivide
+    indexed = []
+
+    def counting(self, u, v):
+        if (min(u, v), max(u, v)) in self.owner[0]:
+            indexed.append((u, v))
+        return subdivide(self, u, v)
+
+    monkeypatch.setattr(BuildState, "subdivide", counting)
+    build_network(F, F2, trace)
+    assert indexed
+    calls = []
+
+    def lossy(self, u, v):
+        key = (min(u, v), max(u, v))
+        if key in self.owner[0]:
+            calls.append(key)
+            if len(calls) == len(indexed):
+                del self.owner[0][key]
+        return subdivide(self, u, v)
+
+    monkeypatch.setattr(BuildState, "subdivide", lossy)
+    build_network(F, F2, trace, verify=False)
+    calls.clear()
+    with pytest.raises(ImageTrackingError, match="leaves the network"):
+        build_network(F, F2, trace, verify=True)
+
+
+def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
+    checked = []
+    verify = BuildState.verify_images
+
+    def spy(self, pair):
+        assert self.num_edges() == sum(len(ns) for ns in self.adj.values()) // 2
+        checked.append(1)
+        verify(self, pair)
+
+    monkeypatch.setattr(BuildState, "verify_images", spy)
+    rng = seeded_rng(1919)
+    for _ in range(25):
+        n_labels = rng.randint(6, 30)
+        labels = [str(i) for i in range(1, n_labels + 1)]
+        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+        trace = greedy_cps(F, F2)
+        before = len(checked)
+        build_network(F, F2, trace, verify=True)
+        assert len(checked) - before == len(trace.steps)

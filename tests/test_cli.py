@@ -223,6 +223,21 @@ def test_unwritable_output_path_exit_2(files, capsys):
         assert code == 2 and "cannot write %s" % missing in err
 
 
+def test_hybrid_failed_write_leaves_no_partial_output(files, capsys):
+    tmp, write = files
+    f1 = write("f1.nwk", QUARTET_A)
+    f2 = write("f2.nwk", QUARTET_B)
+    trace = tmp / "trace.json"
+    missing = str(tmp / "missing" / "n.txt")
+    code, _, err = run_main(
+        ["hybrid", "--forest1", f1, "--forest2", f2,
+         "--trace-out", str(trace), "--network-out", missing],
+        capsys,
+    )
+    assert code == 2 and "cannot write %s" % missing in err
+    assert not trace.exists()
+
+
 def test_displays_no(files, capsys):
     tmp, write = files
     net = write(

@@ -13,6 +13,7 @@ from cherrypick.generate import random_forest, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, parse_tree
 from cherrypick.trees import (
     Forest,
+    PhyloTree,
     canonical_form,
     classify,
     pendant_of,
@@ -21,6 +22,7 @@ from cherrypick.trees import (
     remove_leaf,
     restrict,
     subtree_edge,
+    tree_remove_edge,
     tree_remove_leaf,
 )
 
@@ -149,6 +151,24 @@ def test_remove_edge_keeps_ground_set_and_adds_component(seed):
 
 # ---------------------------------------------------------------------------
 # cherries
+
+
+def test_surgery_leaves_the_parent_unchanged():
+    # surgery shares the parent's untouched adjacency sets, so it must
+    # never modify them; every child is a valid tree on its own
+    rng = seeded_rng(2323)
+    for n in (1, 2, 3, 4, 7, 12, 20):
+        t = random_tree([str(i) for i in range(n)], rng)
+        adj = {v: set(ns) for v, ns in t.adj.items()}
+        canon = t.canonical
+        children = [tree_remove_leaf(t, lab)[0] for lab in sorted(t.leaf_labels)]
+        for edge in t.edges():
+            children.extend(tree_remove_edge(t, edge)[0])
+        assert {v: set(ns) for v, ns in t.adj.items()} == adj
+        assert t.canonical == canon == t._compute_canonical()
+        for child in children:
+            if child is not None:
+                PhyloTree(child.adj, child.labels)  # runs _validate afresh
 
 
 def test_cherries_quartet():
