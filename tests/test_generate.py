@@ -1,5 +1,7 @@
 """Seeded random generation."""
 
+import hashlib
+
 import pytest
 
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
@@ -50,3 +52,15 @@ def test_random_pair_deterministic_documents():
 def test_single_label():
     f = random_forest(["z"], 1, seeded_rng(0))
     assert f.ground_set == {"z"} and len(f.components) == 1
+
+
+def test_seeded_documents_match_the_pinned_digest():
+    # seeded documents must stay byte-equal across versions; the digest
+    # covers seeds 0..9 and 1..4 components on the labels "1".."14"
+    # (what `cherrypick gen --leaves 14` draws from)
+    labels = [str(i) for i in range(1, 15)]
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for k in range(1, 5):
+            digest.update(serialize_forest(random_forest(labels, k, seeded_rng(seed))).encode())
+    assert digest.hexdigest() == "8665985f6209687bc48aadc0b350dddf707dd302a9c8924b03e1c29796ea4f24"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherrypick.errors import (
+    DuplicateLabel,
     EmptyRestriction,
     InvalidEdgeRef,
     NotACherry,
@@ -147,6 +148,43 @@ def test_remove_edge_keeps_ground_set_and_adds_component(seed):
     got, _ = remove_edge_traced(f, idx, edge)
     assert got.ground_set == f.ground_set
     assert len(got.components) == len(f.components) + 1
+
+
+# ---------------------------------------------------------------------------
+# tree validation
+
+# a path a - b - c on vertices 0 - 1 - 2
+_PATH = {0: [1], 1: [0, 2], 2: [1]}
+_TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "adj, labels, exc, message",
+    [
+        ({}, {}, ValueError, "a tree has at least one vertex"),
+        ({0: []}, {0: "a", 1: "b"}, ValueError, "labeled vertex 1 not in the tree"),
+        ({0: []}, {0: ""}, ValueError, "invalid label ''"),
+        ({0: []}, {0: "a;b"}, ValueError, "invalid label 'a;b'"),
+        ({0: [1], 1: [0]}, {0: "a", 1: "a"}, DuplicateLabel, "duplicate label 'a'"),
+        ({0: []}, {}, ValueError, "a tree has at least one labeled vertex"),
+        ({0: [0]}, {0: "a"}, ValueError, "loop at vertex 0"),
+        ({0: [1], 1: []}, {0: "a", 1: "b"}, ValueError, "asymmetric adjacency"),
+        (_TRIANGLE, {0: "a"}, ValueError, "not a tree: 3 vertices, 3 edges"),
+        ({**_TRIANGLE, 3: []}, {3: "a"}, ValueError, "tree is disconnected"),
+        (_PATH, {0: "a", 1: "b", 2: "c"}, ValueError, "labeled vertex 1 has degree > 1"),
+        (_PATH, {0: "a", 2: "c"}, ValueError, "internal vertex 1 has degree 2"),
+        # two faults each: the check that runs first names its fault
+        ({0: [1], 1: [0]}, {0: "a", 1: "a", 5: "b"}, DuplicateLabel, "duplicate label 'a'"),
+        ({0: [1], 1: [0]}, {0: "a b", 1: "a b"}, ValueError, "invalid label 'a b'"),
+        ({0: [0, 1], 1: [0]}, {0: "a", 1: "b"}, ValueError, "loop at vertex 0"),
+        ({**_PATH, 3: []}, {0: "a", 1: "b", 3: "d"}, ValueError, "not a tree: 4 vertices, 2 edges"),
+    ],
+)
+def test_validate_names_the_first_fault(adj, labels, exc, message):
+    with pytest.raises(exc) as info:
+        PhyloTree(adj, labels)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
