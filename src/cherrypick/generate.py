@@ -49,7 +49,7 @@ def random_forest(labels, components, rng):
     while len(forest.components) < components:
         choices = [
             (idx, edge)
-            for idx, tree in enumerate(forest.components)
+            for idx, tree in sorted(enumerate(forest.components), key=lambda c: c[1].canonical)
             for edge in tree.edges()
         ]
         idx, edge = choices[rng.randrange(len(choices))]

@@ -144,7 +144,7 @@ def parse_forest(text):
         trees.append(_parse_newick_line(content.rstrip(), line_no, alloc, seen))
     if not trees:
         raise ParseError("document contains no trees")
-    return Forest(trees)
+    return Forest(sorted(trees, key=lambda t: t.canonical) if len(trees) > 1 else trees)
 
 
 def parse_tree(text):

@@ -3,7 +3,11 @@
 Vertices are opaque integers private to each tree; everything visible to
 callers is identified by leaf label.  All values are immutable after
 construction and every operation is a pure function returning new objects,
-so trees and forests can be shared freely between threads.
+so trees and forests can be shared freely between threads.  Every tree,
+surgery results included, is validated when it is built.  A forest keeps
+its components in the order given, so surgery splices new components in
+place; only the canonical form, which equality and serialization use,
+sorts them.
 
 Surgery functions come in two flavours: the plain ones return the new
 forest, the ``*_traced`` ones additionally return a record of which vertex
@@ -49,49 +53,54 @@ class PhyloTree:
     def __init__(self, adj, labels):
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
         self.labels = dict(labels)
-        self.vertex_of = {}
         self._canon = None
         self._validate()
 
     def _validate(self):
-        if not self.adj:
+        adj, labels = self.adj, self.labels
+        if not adj:
             raise ValueError("a tree has at least one vertex")
-        for v, lab in self.labels.items():
-            if v not in self.adj:
-                raise ValueError("labeled vertex %r not in the tree" % (v,))
-            if not is_valid_label(lab):
-                raise ValueError("invalid label %r" % (lab,))
-            if lab in self.vertex_of:
-                raise DuplicateLabel("duplicate label %r" % (lab,))
-            self.vertex_of[lab] = v
-        if not self.labels:
+        self.vertex_of = {lab: v for v, lab in labels.items()}
+        if not (
+            len(self.vertex_of) == len(labels)
+            and labels.keys() <= adj.keys()
+            and all(labels.values())
+            and FORBIDDEN_LABEL_CHARS.isdisjoint("".join(labels.values()))
+        ):
+            # some label check failed: walk the labels to name the first fault
+            named = set()
+            for v, lab in labels.items():
+                if v not in adj:
+                    raise ValueError("labeled vertex %r not in the tree" % (v,))
+                if not is_valid_label(lab):
+                    raise ValueError("invalid label %r" % (lab,))
+                if lab in named:
+                    raise DuplicateLabel("duplicate label %r" % (lab,))
+                named.add(lab)
+        if not labels:
             raise ValueError("a tree has at least one labeled vertex")
-        edge_slots = 0
-        for v, ns in self.adj.items():
+        for v, ns in adj.items():
             if v in ns:
                 raise ValueError("loop at vertex %r" % (v,))
             for w in ns:
-                if v not in self.adj.get(w, ()):
+                if v not in adj.get(w, ()):
                     raise ValueError("asymmetric adjacency")
-            edge_slots += len(ns)
-        n, m = len(self.adj), edge_slots // 2
+        n, m = len(adj), sum(map(len, adj.values())) // 2
         if m != n - 1:
             raise ValueError("not a tree: %d vertices, %d edges" % (n, m))
-        seen = {next(iter(self.adj))}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
+        order = [next(iter(adj))]
+        seen = set(order)
+        for v in order:
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-        if len(seen) != n:
+                    order.append(w)
+        if len(order) != n:
             raise ValueError("tree is disconnected")
-        for v, ns in self.adj.items():
-            if v in self.labels:
-                if len(ns) > 1:
+        for v, ns in adj.items():
+            if len(ns) > 1 if v in labels else len(ns) != 3:
+                if v in labels:
                     raise ValueError("labeled vertex %r has degree > 1" % (v,))
-            elif len(ns) != 3:
                 raise ValueError("internal vertex %r has degree %d" % (v, len(ns)))
 
     # -- basic accessors ---------------------------------------------------
@@ -490,21 +499,18 @@ def pendant_shapes(tree, cherry):
 class Forest:
     """A set of trees with pairwise disjoint leaf-label sets.
 
-    Components are kept sorted by canonical form, so equal forests print
-    identically.
+    Components are kept in the order given; the canonical form sorts
+    them, so equal forests print identically whatever the order.
     """
 
     __slots__ = ("components", "ground_set", "_canon", "_home")
 
     def __init__(self, components):
-        comps = list(components)
-        if len(comps) > 1:  # one component needs no canonical form here
-            comps.sort(key=lambda t: t.canonical)
-        self.components = tuple(comps)
+        self.components = tuple(components)
         self._home = {}
         self._canon = None
         for i, t in enumerate(self.components):
-            for lab in t.leaf_labels:
+            for lab in t.vertex_of:
                 if lab in self._home:
                     raise DuplicateLabel("label %r in two components" % (lab,))
                 self._home[lab] = i
@@ -513,11 +519,11 @@ class Forest:
     @property
     def canonical(self):
         if self._canon is None:
-            self._canon = "\n".join(t.canonical for t in self.components)
+            self._canon = "\n".join(sorted(t.canonical for t in self.components))
         return self._canon
 
     def __repr__(self):
-        return "Forest(%s)" % " | ".join(t.canonical for t in self.components)
+        return "Forest(%s)" % self.canonical.replace("\n", " | ")
 
     def __eq__(self, other):
         return isinstance(other, Forest) and self.canonical == other.canonical
@@ -565,6 +571,8 @@ class Forest:
         return sorted(t.labels[w] for w in t.adj[c] if w in t.labels and w != v)
 
     def replace_component(self, index, new_components):
+        """The forest with component `index` replaced, in place, by the
+        given trees (None entries are skipped)."""
         comps = list(self.components)
         comps[index:index + 1] = [t for t in new_components if t is not None]
         return Forest(comps)

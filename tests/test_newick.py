@@ -1,5 +1,7 @@
 """Document parsing and serialization."""
 
+import itertools
+
 import pytest
 
 from cherrypick.errors import (
@@ -105,6 +107,14 @@ def test_serialize_is_canonical_and_deterministic():
     b = parse_forest("((4,3),(2,1));")
     assert serialize_forest(a) == serialize_forest(b)
     assert serialize_forest(parse_forest("x;")) == "x;\n"
+
+
+def test_parse_orders_components_canonically():
+    lines = ["(5,6);", "((1,2),(3,4));", "7;"]
+    want = sorted(parse_forest(line).canonical for line in lines)
+    for perm in itertools.permutations(lines):
+        f = parse_forest("\n".join(perm))
+        assert [t.canonical for t in f.components] == want
 
 
 def test_forest_round_trip_random():

@@ -9,7 +9,7 @@ from cherrypick.errors import (
     ReplayError,
 )
 from cherrypick.generate import random_forest_pair, seeded_rng
-from cherrypick.newick import parse_forest
+from cherrypick.newick import parse_forest, serialize_forest
 from cherrypick.reductions import (
     RULES,
     ReductionStep,
@@ -20,8 +20,10 @@ from cherrypick.reductions import (
     check_step,
     labels_of,
     legal_moves,
+    replay_trace,
     validate_trace,
 )
+from cherrypick.search import greedy_cps
 from cherrypick.trees import canonical_form
 
 
@@ -266,6 +268,22 @@ def test_replay_bad_terminal():
     short = ReductionTrace((ReductionStep("1", "C1", "forward", y="2"),))
     with pytest.raises(BadTerminal):
         validate_trace(F, F2, short)
+
+
+def test_replay_states_equal_their_parsed_documents():
+    # replay keeps components in surgery order, not canonical order; each
+    # state still equals the forest its document parses to, and every
+    # label's component index points at the component holding it
+    rng = seeded_rng(606)
+    for n in range(6, 21):
+        labels = [str(i) for i in range(1, n + 1)]
+        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+        for state_pair in replay_trace(F, F2, greedy_cps(F, F2)).states:
+            for forest in state_pair:
+                again = parse_forest(serialize_forest(forest))
+                assert forest == again and hash(forest) == hash(again)
+                for lab in forest.ground_set:
+                    assert lab in forest.components[forest.component_index(lab)].vertex_of
 
 
 def test_labels_of_includes_terminal():

@@ -1,5 +1,7 @@
 """Core tree and forest operations."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from cherrypick.errors import (
     UnknownLabel,
 )
 from cherrypick.generate import random_forest, random_tree, seeded_rng
-from cherrypick.newick import parse_forest, parse_tree
+from cherrypick.newick import parse_forest, parse_tree, serialize_forest
 from cherrypick.trees import (
     Forest,
     PhyloTree,
@@ -351,6 +353,16 @@ def test_canonical_distinguishes_attachments():
 def test_canonical_separates_all_five_leaf_topologies():
     canons = {Forest([t]).canonical for t in all_topologies("12345")}
     assert len(canons) == 15
+
+
+def test_forest_ignores_component_order():
+    f = parse_forest("((1,2),(3,4));\n(5,6);\n7;")
+    for perm in itertools.permutations(f.components):
+        g = Forest(perm)
+        assert g.components == perm
+        assert g == f and hash(g) == hash(f)
+        assert g.canonical == f.canonical and repr(g) == repr(f)
+        assert serialize_forest(g) == serialize_forest(f)
 
 
 def test_canonical_equal_iff_isomorphic():
