@@ -178,6 +178,7 @@ _TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
         # two faults each: the check that runs first names its fault
         ({0: [1], 1: [0]}, {0: "a", 1: "a", 5: "b"}, DuplicateLabel, "duplicate label 'a'"),
         ({0: [1], 1: [0]}, {0: "a b", 1: "a b"}, ValueError, "invalid label 'a b'"),
+        ({0: []}, {0: "a", 5: ""}, ValueError, "labeled vertex 5 not in the tree"),
         ({0: [0, 1], 1: [0]}, {0: "a", 1: "b"}, ValueError, "loop at vertex 0"),
         ({**_PATH, 3: []}, {0: "a", 1: "b", 3: "d"}, ValueError, "not a tree: 4 vertices, 2 edges"),
     ],
