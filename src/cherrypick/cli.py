@@ -1,10 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: hybrid, tbr, validate-trace, build-network, displays, gen.
-Exit codes: 0 success, 2 parse/input error or unwritable output path,
-3 ground-set mismatch, 4 budget or cap exhausted, 5 semantic validation
-failure.  ``--json`` switches the report to a stable machine-readable
-object.
+Exit codes: 0 success, 1 internal error, 2 parse/input error (negative
+budgets and caps included) or unwritable output path, 3 ground-set
+mismatch, 4 budget or cap exhausted, 5 semantic validation failure.
+``--json`` switches the report to a stable machine-readable object.
 """
 
 import argparse
@@ -41,10 +41,22 @@ from .search import min_weight_cps
 PAIR_SEPARATOR = "# --- pair separator ---"
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 EXIT_INVALID = 5
+
+
+def _non_negative(text):
+    """argparse type for node budgets and distance caps."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return value
 
 
 def _read(path):
@@ -225,7 +237,7 @@ def make_parser():
     p.add_argument("--network-out")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_non_negative,
         default=None,
         help="search node budget: the number of states the search may expand; "
         "free C1/C3 steps are forced, not branched on, which keeps that count small",
@@ -235,7 +247,7 @@ def make_parser():
     p = sub.add_parser("tbr", help="TBR distance between two trees (BFS oracle)")
     p.add_argument("--tree1", required=True)
     p.add_argument("--tree2", required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_tbr)
 
     p = sub.add_parser("validate-trace", help="replay a trace and print its weight")
@@ -290,6 +302,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # any other failure is a bug, still reported as an exit code
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .reductions import (
     applicable_steps,
     apply_action,
     apply_step,
-    legal_moves,
 )
 
 
@@ -37,7 +36,10 @@ class SearchStats:
     budget counts these), ``applied`` the steps the search applied,
     ``forced`` the free steps it took without branching, and
     ``level_nodes[k]`` the nodes expanded while deciding whether the
-    weight is at most k (the witness walk's nodes are in ``nodes`` only).
+    weight is at most k (the witness walk's nodes are in ``nodes`` only),
+    ``memo_size`` the memo entries held when the search ended, and
+    ``stop_reason`` why it ended: "exact" once the minimum is proven,
+    "budget" when the node budget ran out first.
     """
 
     nodes: int = 0
@@ -46,6 +48,8 @@ class SearchStats:
     applied: int = 0
     forced: int = 0
     level_nodes: list = field(default_factory=list)
+    memo_size: int = 0
+    stop_reason: str = None
 
 
 @dataclass
@@ -126,6 +130,26 @@ def greedy_cps(F, F2):
 # exact search
 
 
+def _cherry_moves(F, F2):
+    """The actions of the C2 moves around the first cherry (x, y) of F:
+    every forward move of (x, y) and of (y, x), and every reversed move of
+    each cherry of F2 that contains x or y, in both orders.  Only called
+    on a state without a free step, so F has a cherry and no move is C1.
+
+    Moves that differ in label or rule can cut the same edge (C2a_i of
+    (x, y) and of (y, x) both cut e_x and e_y), so each action is listed
+    once, in the step order of its first move.
+    """
+    x, y = F.cherries()[0]
+    moves = [*_pair_moves(F, F2, x, y, "forward"), *_pair_moves(F, F2, y, x, "forward")]
+    for a in (x, y):
+        for b in F2.cherry_partners(a):
+            moves.extend(_pair_moves(F2, F, a, b, "reversed"))
+            moves.extend(_pair_moves(F2, F, b, a, "reversed"))
+    moves.sort(key=lambda move: move[0].sort_key())
+    return list(dict.fromkeys(action for _, action in moves))
+
+
 class _Searcher:
     """Iterative-deepening search over pairs of forests, memoized on
     canonical state keys.
@@ -148,11 +172,52 @@ class _Searcher:
     followed in a loop, so recursion depth grows with the number of C2
     steps, not with the label count.
 
-    A state without a free step has only C2 steps, all of cost one, and a
-    child is built only when that cost is below the current best.  The
+    A state without a free step has only C2 steps, all of cost one, and
+    the search branches on one cherry: the moves of ``_cherry_moves``
+    around the first cherry (x, y) of F.  Every one of them is a legal
+    step, so each child gives an upper bound; the minimum is kept because
+    some optimal sequence starts with one of them.  The argument is the
+    sibling-pair lemma for maximum agreement forests (Whidden, Beiko &
+    Zeh, "Fixed-parameter algorithms for maximum agreement forests", SIAM
+    J. Comput. 2013; Chen, Fan & Sze, "Parameterized and approximation
+    algorithms for maximum agreement forest in multifurcating trees",
+    TCS 2015), which branches on one sibling pair.  With no free step,
+    (x, y) is not a cherry of F2 and neither forest has an isolated
+    vertex.  Take an optimal sequence and follow x and y through it:
+    before the end, one of them is isolated in one forest (and dropped
+    by C3) or the two form a common cherry (and one is dropped by C1).
+
+    * One of them is isolated first.  Its pendant edge is cut in F or in
+      F2, and the cut is traded for the one in F at the same cost: cutting
+      e_x in either forest and then dropping x leaves the same state, both
+      forests restricted to the other labels.  Cutting e_x or e_y in F is
+      a forward move of (x, y) or (y, x): C2a_i when one of them is in a
+      cherry of F2, else C2b_i or C2c, so one of the two orders has it.
+    * They become a common cherry first.  Then every subtree that hangs
+      off the x--y path of F2 is cut away on the way, as the lemma's
+      third branch cuts every pendant subtree between the pair.  Cuts in
+      different places commute, so the one next to x (or y) can go
+      first: when it is a single leaf z, (x, z) is a cherry of F2 and the
+      reversed C2a moves of that cherry cut e_z or a pendant subtree
+      beyond it; otherwise it is the C2b_ii edge at x's neighbour.
+
+    The forward C2a_ii/C2a_iii moves, which cut next to the pair in F,
+    are legal moves of (x, y) as well and are kept: extra legal moves
+    cannot take the value below the minimum.  While a branch cuts only
+    in F2, F's first cherry stays (x, y), so the search keeps working on
+    the same pair until it is resolved.  The argument above is a sketch
+    in the lemma's terms, not a formal proof, so it is also checked: the
+    tests compare the search with a full-branching reference on every
+    tree pair up to five leaves and on seeded forest pairs up to eight
+    leaves, and a ``slow`` test on every pair of six-leaf trees.
+
+    A child is built only when its cost is below the current best.  The
     search applies the actions its own enumeration resolved, and a free
     step is always a drop, so no step is checked twice; the witness walk
-    and ``greedy_cps`` go through the checked ``apply_step``.
+    and ``greedy_cps`` enumerate every legal step through the checked
+    ``applicable_steps`` and ``apply_step``, so the witness is the
+    lexicographically least optimal trace whichever moves the search
+    branched on.
     """
 
     def __init__(self, budget=None):
@@ -217,7 +282,7 @@ class _Searcher:
         best = cutoff
         if best <= 1:
             return best
-        for _, action in legal_moves(F, F2):
+        for action in _cherry_moves(F, F2):
             nF, nF2, _ = apply_action(F, F2, action)
             self.stats.applied += 1
             best = min(best, 1 + self.residual(nF, nF2, best - 1))
@@ -277,6 +342,8 @@ def min_weight_cps(F, F2, budget=None):
             value += 1
     except _BudgetExceeded:
         stats.elapsed = time.monotonic() - start
+        stats.memo_size = len(searcher.memo)
+        stats.stop_reason = "budget"
         return SearchResult("bounded", value, upper, upper_trace, stats)
     if upper == 0:
         # the greedy trace takes the first free step at every state, which
@@ -286,6 +353,8 @@ def min_weight_cps(F, F2, budget=None):
         searcher.budget = None
         witness = searcher.witness(F, F2, value)
     stats.elapsed = time.monotonic() - start
+    stats.memo_size = len(searcher.memo)
+    stats.stop_reason = "exact"
     return SearchResult("exact", value, value, witness, stats)
 
 

@@ -671,13 +671,19 @@ class CherryCase:
     """Which of the four mutually exclusive situations holds for a cherry
     (x,y) of one forest relative to another: "i" same cherry, "ii" x or y
     in another cherry (witnesses = (anchor, partner) pairs), "iii" same
-    tree but no cherry, "iv" different trees and no cherry."""
+    tree but no cherry, "iv" different trees and no cherry.
+
+    Deprecated, with ``classify``: nothing in the package uses them, since
+    ``reductions._pair_moves`` states the same cases; they stay exported
+    for existing callers."""
 
     case: str
     witnesses: tuple = ()
 
 
 def classify(forest, other, cherry):
+    """The ``CherryCase`` of a cherry of ``forest`` relative to ``other``.
+    Deprecated: see ``CherryCase``."""
     x, y = sorted(cherry)
     if not forest.has_cherry((x, y)):
         raise NotACherry("%r is not a cherry of the first forest" % (cherry,))

@@ -120,6 +120,50 @@ def test_hybrid_budget_exhaustion_exit_4(files, capsys):
     assert "[" in err and "]" in err  # prints the bounds
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hybrid", "--forest1", "F", "--forest2", "F", "--budget", "-1"],
+        ["tbr", "--tree1", "F", "--tree2", "F", "--cap", "-5"],
+    ],
+)
+def test_negative_budget_or_cap_rejected_exit_2(files, capsys, argv):
+    _, write = files
+    f = write("f.nwk", QUARTET_A)
+    with pytest.raises(SystemExit) as exc:
+        main([f if arg == "F" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0, got '-" in capsys.readouterr().err
+
+
+def test_hybrid_json_memo_size_and_stop_reason(files, capsys):
+    _, write = files
+    f1 = write("f1.nwk", "((1,2),((3,4),(5,6)));\n")
+    f2 = write("f2.nwk", "((3,6),((1,4),(2,5)));\n")
+    argv = ["--json", "hybrid", "--forest1", f1, "--forest2", f2]
+    code, out, _ = run_main(argv, capsys)
+    stats = json.loads(out)["outcome"]["stats"]
+    assert code == 0 and stats["stop_reason"] == "exact"
+    assert 0 < stats["memo_size"] <= stats["nodes"]
+    code, out, _ = run_main(argv + ["--budget", "1"], capsys)
+    stats = json.loads(out)["outcome"]["stats"]
+    assert code == 4 and stats["stop_reason"] == "budget"
+    assert 0 < stats["memo_size"] < stats["nodes"]  # the state that overran is not stored
+
+
+def test_unexpected_exception_exit_1_without_traceback(files, capsys, monkeypatch):
+    _, write = files
+    f = write("f.nwk", QUARTET_A)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cherrypick.cli.min_weight_cps", broken)
+    code, out, err = run_main(["hybrid", "--forest1", f, "--forest2", f], capsys)
+    assert code == 1 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_tbr_identical_zero(files, capsys):
     _, write = files
     t = write("t.nwk", QUARTET_A)

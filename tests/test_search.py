@@ -1,17 +1,19 @@
 """Greedy construction and exact minimum-weight search."""
 
 import sys
+from collections import deque
 
 import pytest
 
 from cherrypick.errors import GroundSetMismatch, NotATree
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, serialize_trace
+from cherrypick.oracles import tbr_neighbors
 from cherrypick.reductions import labels_of, validate_trace
 from cherrypick.search import greedy_cps, hybrid_number, min_weight_cps, tbr_distance
 from cherrypick.trees import Forest, PhyloTree, canonical_form
 
-from util import all_topologies, min_trace_bruteforce
+from util import all_topologies, forest_pairs, min_trace_bruteforce, min_trace_full_branching
 
 
 FIG_FOREST = "(1,3);\n((2,4),(5,6));"
@@ -197,6 +199,51 @@ def test_witness_matches_bruteforce():
         brute = min_trace_bruteforce(F, F2)
         assert result.min_weight == brute.weight
         assert serialize_trace(result.witness) == serialize_trace(brute)
+
+
+def test_one_cherry_search_matches_full_branching():
+    # the search branches on the moves around F's first cherry only; the
+    # reference branches on every legal move of every state
+    cases = []
+    for n in range(1, 6):
+        cases.extend(forest_pairs([str(i) for i in range(1, n + 1)]))
+    for n in (6, 7, 8):
+        labels = [str(i) for i in range(1, n + 1)]
+        rng = seeded_rng(n)
+        for k in (1, 2, 3):
+            for _ in range(3):
+                cases.append((random_forest(labels, k, rng), random_forest(labels, k, rng)))
+    # distance-2 tree pairs that need the forward moves of the cherry in
+    # both orders: without those of (y, x), or of (x, y), the search says 3
+    for a, b in (
+        ("(((((2,6),3),5),(4,7)),1);", "((((((5,7),3),2),6),4),1);"),
+        ("((((((2,7),6),3),4),5),1);", "((((2,3),6),((4,7),5)),1);"),
+    ):
+        cases.append((parse_forest(a), parse_forest(b)))
+    for F, F2 in cases:
+        result = min_weight_cps(F, F2)
+        reference = min_trace_full_branching(F, F2)
+        assert result.min_weight == reference.weight
+        assert serialize_trace(result.witness) == serialize_trace(reference)
+
+
+@pytest.mark.slow
+def test_every_six_leaf_tree_pair_matches_tbr_move_graph():
+    trees = list(all_topologies("123456"))
+    index = {T.canonical: i for i, T in enumerate(trees)}
+    graph = [[index[nb] for nb in tbr_neighbors(T)] for T in trees]
+    for i, T in enumerate(trees):
+        dist = {i: 0}
+        queue = deque([i])
+        while queue:
+            u = queue.popleft()
+            for v in graph[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        assert len(dist) == len(trees) == 105
+        for j, T2 in enumerate(trees):
+            assert min_weight_cps(Forest([T]), Forest([T2])).min_weight == dist[j]
 
 
 def test_search_stats_counters():

@@ -1,6 +1,6 @@
 """Shared test helpers: an independent topology enumerator, a
-label-respecting network isomorphism check, and a brute-force minimum
-cherry picking sequence.
+label-respecting network isomorphism check, and two brute-force minimum
+cherry picking sequences.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) so they can serve as oracles for the
@@ -9,7 +9,13 @@ library's own code.
 
 import itertools
 
-from cherrypick.reductions import ReductionTrace, applicable_steps, apply_step
+from cherrypick.reductions import (
+    ReductionTrace,
+    applicable_steps,
+    apply_action,
+    apply_step,
+    legal_moves,
+)
 from cherrypick.trees import Forest, PhyloTree
 
 
@@ -135,3 +141,35 @@ def min_trace_bruteforce(F, F2):
         if steps is not None:
             return ReductionTrace(steps)
         budget += 1
+
+
+def min_trace_full_branching(F, F2):
+    """The lexicographically least minimum-weight cherry picking sequence,
+    by memoized iterative deepening that branches on every legal move at
+    every state: no free step is forced and no move is left out.  The
+    reference for the exact search, which branches on one cherry."""
+    memo = {}
+
+    def within(F, F2, budget):
+        if len(F.ground_set) == 1:
+            return True
+        key = (F.canonical, F2.canonical, budget)
+        if key not in memo:
+            memo[key] = any(
+                step.cost <= budget and within(*apply_action(F, F2, action)[:2], budget - step.cost)
+                for step, action in legal_moves(F, F2)
+            )
+        return memo[key]
+
+    weight = 0
+    while not within(F, F2, weight):
+        weight += 1
+    steps = []
+    while len(F.ground_set) > 1:
+        for step, action in legal_moves(F, F2):
+            nF, nF2, _ = apply_action(F, F2, action)
+            if step.cost <= weight and within(nF, nF2, weight - step.cost):
+                steps.append(step)
+                F, F2, weight = nF, nF2, weight - step.cost
+                break
+    return ReductionTrace(tuple(steps))
