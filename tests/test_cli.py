@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from cherrypick.cli import PAIR_SEPARATOR, main
-from cherrypick.newick import parse_forest, parse_network
-from cherrypick.oracles import displays
+from cherrypick.generate import random_forest, seeded_rng
+from cherrypick.newick import parse_forest, parse_network, serialize_forest
+from cherrypick.oracles import displays, tbr_distance_bfs
 from cherrypick.networks import reticulation_number
 
 QUARTET_A = "((1,2),(3,4));\n"
@@ -185,6 +186,54 @@ def test_tbr_rejects_forest_exit_5(files, capsys):
     t2 = write("t2.nwk", "(1,(2,3));\n")
     code, _, _ = run_main(["tbr", "--tree1", t1, "--tree2", t2], capsys)
     assert code == 5
+
+
+def _seeded_tree_pair(write, n, i):
+    """Files for the i-th seeded tree pair on n leaves, and the pair."""
+    labels = [str(k) for k in range(1, n + 1)]
+    rng = seeded_rng(12345 + 1000 * n + i)
+    F, F2 = random_forest(labels, 1, rng), random_forest(labels, 1, rng)
+    paths = [write("s%d_%d_%d.nwk" % (n, i, j), serialize_forest(f)) for j, f in enumerate((F, F2))]
+    return paths, F, F2
+
+
+@pytest.mark.parametrize("n, i", [(6, 0), (6, 1), (7, 0), (7, 1)])
+def test_tbr_cap_at_and_below_the_distance(files, capsys, n, i):
+    _, write = files
+    (t1, t2), F, F2 = _seeded_tree_pair(write, n, i)
+    d = tbr_distance_bfs(F.components[0], F2.components[0])
+    assert d >= 1
+    base = ["tbr", "--tree1", t1, "--tree2", t2]
+    assert run_main(base + ["--cap", str(d)], capsys) == (0, "%d\n" % d, "")
+    code, out, err = run_main(base + ["--cap", str(d - 1)], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: TBR distance exceeds cap %d\n" % (d - 1)
+
+
+def test_tbr_trees_on_other_labels_exit_3(files, capsys):
+    _, write = files
+    t1 = write("t1.nwk", QUARTET_A)
+    t2 = write("t2.nwk", "((1,2),(3,5));\n")
+    code, out, err = run_main(["tbr", "--tree1", t1, "--tree2", t2, "--cap", "0"], capsys)
+    assert (code, out, err) == (3, "", "error: trees are on different label sets\n")
+
+
+def test_tbr_forest_on_other_labels_exit_5(files, capsys):
+    # the single-tree check comes before the label check
+    _, write = files
+    t1 = write("t1.nwk", "1;\n(2,3);\n")
+    t2 = write("t2.nwk", "((1,2),(3,5));\n")
+    code, out, err = run_main(["tbr", "--tree1", t1, "--tree2", t2], capsys)
+    assert (code, out, err) == (5, "", "error: tbr needs single-tree inputs\n")
+
+
+def test_tbr_json_outcome_is_the_distance_only(files, capsys):
+    _, write = files
+    (t1, t2), _, _ = _seeded_tree_pair(write, 6, 1)
+    code, out, _ = run_main(["--json", "tbr", "--tree1", t1, "--tree2", t2], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["command"] == "tbr"
+    assert report["outcome"] == {"distance": 2}
 
 
 def test_validate_trace_roundtrip_and_corruption(files, capsys):
