@@ -19,18 +19,10 @@ forests for validity, endpoints and leaf placement, and the components
 of each forest for vertex-disjointness.
 """
 
-from .errors import (
-    BadTerminal,
-    ImageTrackingError,
-    InvalidTrace,
-    ReplayError,
-)
+from .errors import ImageTrackingError
 from .networks import PseudoNetwork, reticulation_number
 from .reductions import replay_trace
-
-
-def _key(u, v):
-    return (u, v) if u < v else (v, u)
+from .trees import _edge
 
 
 class BuildState:
@@ -91,7 +83,7 @@ class BuildState:
         self._connect(u, w)
         self._connect(w, v)
         for side in (0, 1):
-            key = self.owner[side].pop(_key(u, v), None)
+            key = self.owner[side].pop(_edge(u, v), None)
             if key is None:
                 continue
             path = self.epath[side][key]
@@ -117,14 +109,14 @@ class BuildState:
     def _own(self, side, key, network_edges):
         owner = self.owner[side]
         for u, v in network_edges:
-            e = _key(u, v)
+            e = _edge(u, v)
             if owner.setdefault(e, key) != key:
                 raise ImageTrackingError(
                     "network edge %r lies on two images of one forest" % (e,)
                 )
 
     def set_path(self, side, a, b, path_from_a_to_b):
-        key = _key(a, b)
+        key = _edge(a, b)
         if key in self.epath[side]:
             raise ImageTrackingError("forest edge %r already has an image" % (key,))
         path = list(path_from_a_to_b)
@@ -134,17 +126,17 @@ class BuildState:
         self._own(side, key, zip(path, path[1:]))
 
     def pop_path(self, side, a, b):
-        key = _key(a, b)
+        key = _edge(a, b)
         path = self.epath[side].pop(key, None)
         if path is None:
             raise ImageTrackingError("no tracked image for forest edge %r" % (key,))
         owner = self.owner[side]
         for u, v in zip(path, path[1:]):
-            owner.pop(_key(u, v), None)
+            owner.pop(_edge(u, v), None)
         return path if a < b else list(reversed(path))
 
     def peek_path(self, side, a, b):
-        key = _key(a, b)
+        key = _edge(a, b)
         path = self.epath[side].get(key)
         if path is None:
             raise ImageTrackingError("no tracked image for forest edge %r" % (key,))
@@ -308,10 +300,7 @@ class BuildState:
 def build_network(F, F2, trace, verify=True):
     """A phylogenetic network on the shared label set displaying both
     forests, with reticulation number at most the trace weight."""
-    try:
-        replay = replay_trace(F, F2, trace)
-    except (ReplayError, BadTerminal) as exc:
-        raise InvalidTrace(str(exc))
+    replay = replay_trace(F, F2, trace)
 
     last_F, last_F2 = replay.states[-1]
     state = BuildState(

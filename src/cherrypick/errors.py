@@ -102,14 +102,19 @@ class InapplicableStep(CherryPickError):
     pass
 
 
-class ReplayError(CherryPickError):
+class InvalidTrace(CherryPickError):
+    """Base of the faults of a trace that does not replay on the given
+    forests: a step that fails (``ReplayError``) or a wrong terminal."""
+
+
+class ReplayError(InvalidTrace):
     def __init__(self, step_index, reason):
         self.step_index = step_index
         self.reason = reason
         super().__init__("step %d: %s" % (step_index, reason))
 
 
-class BadTerminal(CherryPickError):
+class BadTerminal(InvalidTrace):
     pass
 
 
@@ -134,10 +139,6 @@ class NotATree(CherryPickError):
 
 # ---------------------------------------------------------------------------
 # network building
-
-class InvalidTrace(CherryPickError):
-    pass
-
 
 class ImageTrackingError(CherryPickError):
     """An image path required by the reverse replay is missing or not

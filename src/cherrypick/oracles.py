@@ -1,16 +1,22 @@
-"""Independent brute-force verifiers.
+"""Brute-force verifiers.
 
 Two oracles cross-check the picking calculus at desk scale: exact TBR
 distance by breadth-first search over the move graph of unrooted binary
 trees, and display checking by exhaustive backtracking over subdivision
 embeddings with the leaf map fixed.  Both are deliberately simple and
-share no code with the solver they verify.
+share no code with the search, the reduction rules or the network
+builder they judge.  They do share the tree layer: trees are
+``PhyloTree`` values compared by their canonical Newick form, a TBR move
+cuts its edge with the solver's own ``tree_remove_edge``, and the BFS
+parses each frontier tree back from that form with ``parse_forest``.
+The ``cherrypick tbr`` command runs the exact solver, not this BFS.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, LabelMismatch, ScaleGuard, TooSmall
+from .newick import parse_forest
 from .trees import PhyloTree, tree_remove_edge, _edge
 
 
@@ -78,8 +84,6 @@ def tbr_distance_bfs(tree, tree2, cap=None):
     target = tree2.canonical
     if tree.canonical == target:
         return 0
-    from .newick import parse_forest  # local import to avoid a cycle
-
     frontier = {tree.canonical}
     visited = set(frontier)
     dist = 0

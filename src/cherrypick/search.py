@@ -330,6 +330,7 @@ def min_weight_cps(F, F2, budget=None):
     searcher = _Searcher(budget)
     stats = searcher.stats
     value = 0  # every weight below `value` is ruled out
+    witness = upper_trace
     try:
         while value < upper:
             before = stats.nodes
@@ -341,21 +342,17 @@ def min_weight_cps(F, F2, budget=None):
                 break
             value += 1
     except _BudgetExceeded:
-        stats.elapsed = time.monotonic() - start
-        stats.memo_size = len(searcher.memo)
-        stats.stop_reason = "budget"
-        return SearchResult("bounded", value, upper, upper_trace, stats)
-    if upper == 0:
-        # the greedy trace takes the first free step at every state, which
-        # is the walk's choice when the weight is 0
-        witness = upper_trace
+        status, stats.stop_reason = "bounded", "budget"
     else:
-        searcher.budget = None
-        witness = searcher.witness(F, F2, value)
+        status, stats.stop_reason, upper = "exact", "exact", value
+        # at weight 0 the greedy trace is the walk's choice: it takes the
+        # first free step at every state
+        if upper > 0:
+            searcher.budget = None
+            witness = searcher.witness(F, F2, value)
     stats.elapsed = time.monotonic() - start
     stats.memo_size = len(searcher.memo)
-    stats.stop_reason = "exact"
-    return SearchResult("exact", value, value, witness, stats)
+    return SearchResult(status, value, upper, witness, stats)
 
 
 def hybrid_number(F, F2):
@@ -366,10 +363,14 @@ def hybrid_number(F, F2):
 
 def tbr_distance(T, T2):
     """Tree bisection and reconnection distance between two trees given as
-    single-component forests."""
-    for forest in (T, T2):
-        if len(forest.components) != 1:
-            raise NotATree("tbr distance needs single-component forests")
+    single-component forests: the minimum cherry picking weight, and 0
+    without a search when the trees are equal."""
+    if len(T.components) != 1 or len(T2.components) != 1:
+        raise NotATree("tbr needs single-tree inputs")
+    if T.ground_set != T2.ground_set:
+        raise GroundSetMismatch("trees are on different label sets")
+    if T == T2:
+        return 0
     return min_weight_cps(T, T2).min_weight
 
 

@@ -236,6 +236,28 @@ def test_tbr_json_outcome_is_the_distance_only(files, capsys):
     assert report["outcome"] == {"distance": 2}
 
 
+def test_tbr_answers_without_the_bfs_oracle(files, capsys, monkeypatch):
+    def broken(tree):
+        raise RuntimeError("the TBR move graph is not needed")
+
+    monkeypatch.setattr("cherrypick.oracles.tbr_neighbors", broken)
+    _, write = files
+    t1 = write("t1.nwk", QUARTET_A)
+    t2 = write("t2.nwk", QUARTET_B)
+    assert run_main(["tbr", "--tree1", t1, "--tree2", t2], capsys) == (0, "1\n", "")
+
+
+def test_tbr_equals_hybrid_on_a_ten_leaf_pair(files, capsys):
+    # out of the move graph's reach: the BFS did not finish in minutes
+    _, write = files
+    (t1, t2), _, _ = _seeded_tree_pair(write, 10, 0)
+    code, tbr_out, _ = run_main(["tbr", "--tree1", t1, "--tree2", t2], capsys)
+    assert code == 0
+    code, hybrid_out, _ = run_main(["hybrid", "--forest1", t1, "--forest2", t2], capsys)
+    assert code == 0
+    assert tbr_out == hybrid_out == "4\n"
+
+
 def test_validate_trace_roundtrip_and_corruption(files, capsys):
     tmp, write = files
     f1 = write("f1.nwk", QUARTET_A)

@@ -170,6 +170,17 @@ def test_tbr_distance_quartets():
     assert tbr_distance(F, F2) == 1
 
 
+def test_tbr_distance_of_equal_trees_needs_no_search(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("searched equal trees")
+
+    monkeypatch.setattr("cherrypick.search.min_weight_cps", broken)
+    caterpillar = "(" * 1499 + "1," + ",".join(str(i) + ")" for i in range(2, 1501)) + ";"
+    assert tbr_distance(parse_forest(caterpillar), parse_forest(caterpillar)) == 0
+    with pytest.raises(GroundSetMismatch, match="trees are on different label sets"):
+        tbr_distance(parse_forest("((1,2),(3,4));"), parse_forest("((1,2),(3,5));"))
+
+
 def test_min_weight_two_expected_from_bfs_oracle():
     # frozen from the BFS oracle: both pairs are two TBR moves apart
     a = parse_forest("((1,2),((3,4),(5,6)));")
