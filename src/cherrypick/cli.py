@@ -157,9 +157,8 @@ def _cmd_hybrid(args, started):
 
 
 def _cmd_tbr(args, started):
-    distance = tbr_distance(parse_forest(_read(args.tree1)), parse_forest(_read(args.tree2)))
-    if args.cap is not None and distance > args.cap:
-        raise CapExceeded("TBR distance exceeds cap %d" % args.cap)
+    T, T2 = parse_forest(_read(args.tree1)), parse_forest(_read(args.tree2))
+    distance = tbr_distance(T, T2, cap=args.cap)
     inputs = {"tree1": args.tree1, "tree2": args.tree2}
     _report(args, "tbr", inputs, {"distance": distance}, started, [str(distance)])
     return EXIT_OK

@@ -268,6 +268,10 @@ def parse_trace(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("not valid JSON: %s" % exc, line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise SchemaError("not a trace: JSON nested too deeply")
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise SchemaError("not valid JSON: %s" % exc)
     if not isinstance(data, list):
         raise SchemaError("trace must be a JSON array of steps")
     steps = []
@@ -278,7 +282,7 @@ def parse_trace(text):
         if extra:
             raise SchemaError("step %d has unknown keys %s" % (i, sorted(extra)))
         rule = item.get("rule")
-        if rule not in RULE_PARAMS:
+        if not isinstance(rule, str) or rule not in RULE_PARAMS:
             raise SchemaError("step %d has unknown rule %r" % (i, rule))
         label = item.get("label")
         if not isinstance(label, str) or not is_valid_label(label):

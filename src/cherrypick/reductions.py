@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .errors import (
     BadTerminal,
+    DuplicateLabel,
     GroundSetMismatch,
     InapplicableStep,
     ReplayError,
@@ -323,11 +324,21 @@ class ReplayResult:
     records: tuple
 
 
+def _check_trees(*forests):
+    """Run the full tree validation on every component not checked yet;
+    surgery builds its trees unchecked (see ``trees``)."""
+    for forest in forests:
+        for tree in forest.components:
+            tree.check()
+
+
 def replay_trace(F, F2, trace):
-    """Replay a trace from a starting pair, checking every side condition
-    and the terminal state; returns states and surgery records."""
+    """Replay a trace from a starting pair, checking every side condition,
+    every tree a step creates and the terminal state; returns states and
+    surgery records."""
     if F.ground_set != F2.ground_set:
         raise GroundSetMismatch("forests are on different label sets")
+    _check_trees(F, F2)
     states = [(F, F2)]
     records = []
     weight = 0
@@ -335,7 +346,8 @@ def replay_trace(F, F2, trace):
     for i, step in enumerate(trace.steps):
         try:
             cur_F, cur_F2, rec = apply_action(cur_F, cur_F2, check_step(cur_F, cur_F2, step))
-        except (InapplicableStep, GroundSetMismatch) as exc:
+            _check_trees(cur_F, cur_F2)
+        except (InapplicableStep, GroundSetMismatch, DuplicateLabel, ValueError) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost
         states.append((cur_F, cur_F2))

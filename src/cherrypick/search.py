@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import GroundSetMismatch, NotATree
+from .errors import CapExceeded, GroundSetMismatch, NotATree
 from .reductions import (
     ReductionStep,
     ReductionTrace,
@@ -39,7 +39,8 @@ class SearchStats:
     weight is at most k (the witness walk's nodes are in ``nodes`` only),
     ``memo_size`` the memo entries held when the search ended, and
     ``stop_reason`` why it ended: "exact" once the minimum is proven,
-    "budget" when the node budget ran out first.
+    "budget" when the node budget ran out first, "cap" when every weight
+    up to a distance cap was ruled out first.
     """
 
     nodes: int = 0
@@ -57,8 +58,9 @@ class SearchResult:
     """Outcome of a minimum-weight search.
 
     ``status`` is "exact" when lower == upper is the true minimum, or
-    "bounded" when a node budget ran out first; the witness always
-    validates with weight equal to ``upper``.
+    "bounded" when a node budget (or, inside the package, a distance cap)
+    stopped the search first; the witness always validates with weight
+    equal to ``upper``.
     """
 
     status: str
@@ -213,11 +215,26 @@ class _Searcher:
 
     A child is built only when its cost is below the current best.  The
     search applies the actions its own enumeration resolved, and a free
-    step is always a drop, so no step is checked twice; the witness walk
-    and ``greedy_cps`` enumerate every legal step through the checked
-    ``applicable_steps`` and ``apply_step``, so the witness is the
-    lexicographically least optimal trace whichever moves the search
-    branched on.
+    step is always a drop, so no step is checked twice.  Surgery builds
+    its trees unchecked (see ``trees``): they are valid by construction,
+    and the replay of a trace checks each of them.
+
+    The witness walk takes, at each state, the first step in the order of
+    ``applicable_steps`` whose child keeps the optimal value, so the
+    witness is the lexicographically least optimal trace whichever moves
+    the search branched on.  Two cases are settled by ``_free_step``
+    alone, with no enumeration and no search:
+
+    * The state has a C1 step.  "C1" sorts before every other rule under
+      ``sort_key``, ``_free_step`` returns the least C1 step, and a free
+      step keeps the value (see above), so that step is the choice.
+    * No weight is left to pay.  Only free steps fit, each of them keeps
+      the value, and ``_free_step`` returns the least one (C1 before C3,
+      each in ``sort_key`` order).
+
+    Elsewhere a C2 step can sort before the free C3 step and keep the
+    value as well, so the walk enumerates the checked
+    ``applicable_steps`` and asks the search for each child's value.
     """
 
     def __init__(self, budget=None):
@@ -292,10 +309,16 @@ class _Searcher:
 
     def witness(self, F, F2, weight):
         """The lexicographically least optimal trace, by always taking the
-        first step (in enumeration order) that preserves optimality."""
+        first step (in enumeration order) that preserves optimality; a
+        forced step is taken without enumerating (see the class doc)."""
         steps = []
         cur_F, cur_F2, need = F, F2, weight
         while len(cur_F.ground_set) > 1:
+            step = _free_step(cur_F, cur_F2)
+            if step is not None and (step.rule == "C1" or need == 0):
+                cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, ("drop", step.label))
+                steps.append(step)
+                continue
             for step in applicable_steps(cur_F, cur_F2):
                 cost = step.cost
                 if cost > need:
@@ -324,6 +347,14 @@ def min_weight_cps(F, F2, budget=None):
     exactness; the budget limits the search itself, not the witness walk
     for an already-proven minimum.
     """
+    return _solve(F, F2, budget=budget)
+
+
+def _solve(F, F2, budget=None, cap=None, walk=True):
+    """``min_weight_cps`` for the package's own callers: with a ``cap``,
+    the search stops as "bounded" (stop reason "cap") once every weight up
+    to ``cap`` is ruled out, and ``walk=False`` skips the witness walk for
+    callers that need only the value (the witness is then None)."""
     start = time.monotonic()
     upper_trace = greedy_cps(F, F2)
     upper = upper_trace.weight
@@ -332,24 +363,30 @@ def min_weight_cps(F, F2, budget=None):
     value = 0  # every weight below `value` is ruled out
     witness = upper_trace
     try:
-        while value < upper:
+        while value < upper and (cap is None or value <= cap):
             before = stats.nodes
             try:
                 found = searcher.residual(F, F2, value + 1)
             finally:
                 stats.level_nodes.append(stats.nodes - before)
             if found <= value:
+                upper = value
                 break
             value += 1
     except _BudgetExceeded:
         status, stats.stop_reason = "bounded", "budget"
     else:
-        status, stats.stop_reason, upper = "exact", "exact", value
-        # at weight 0 the greedy trace is the walk's choice: it takes the
-        # first free step at every state
-        if upper > 0:
-            searcher.budget = None
-            witness = searcher.witness(F, F2, value)
+        if value < upper:
+            status, stats.stop_reason = "bounded", "cap"
+        else:
+            status, stats.stop_reason = "exact", "exact"
+            if not walk:
+                witness = None
+            elif upper > 0:
+                # at weight 0 the greedy trace is the walk's choice: it
+                # takes the first free step at every state
+                searcher.budget = None
+                witness = searcher.witness(F, F2, value)
     stats.elapsed = time.monotonic() - start
     stats.memo_size = len(searcher.memo)
     return SearchResult(status, value, upper, witness, stats)
@@ -358,20 +395,25 @@ def min_weight_cps(F, F2, budget=None):
 def hybrid_number(F, F2):
     """Minimum reticulation number over networks displaying both forests,
     computed as the minimum cherry picking weight."""
-    return min_weight_cps(F, F2).min_weight
+    return _solve(F, F2, walk=False).min_weight
 
 
-def tbr_distance(T, T2):
+def tbr_distance(T, T2, cap=None):
     """Tree bisection and reconnection distance between two trees given as
     single-component forests: the minimum cherry picking weight, and 0
-    without a search when the trees are equal."""
+    without a search when the trees are equal.  Raises CapExceeded when
+    the distance exceeds ``cap``, as soon as the search has ruled out
+    every distance up to it."""
     if len(T.components) != 1 or len(T2.components) != 1:
         raise NotATree("tbr needs single-tree inputs")
     if T.ground_set != T2.ground_set:
         raise GroundSetMismatch("trees are on different label sets")
     if T == T2:
         return 0
-    return min_weight_cps(T, T2).min_weight
+    result = _solve(T, T2, cap=cap, walk=False)
+    if cap is not None and result.lower > cap:
+        raise CapExceeded("TBR distance exceeds cap %d" % cap)
+    return result.lower
 
 
 __all__ = [

@@ -3,11 +3,20 @@
 Vertices are opaque integers private to each tree; everything visible to
 callers is identified by leaf label.  All values are immutable after
 construction and every operation is a pure function returning new objects,
-so trees and forests can be shared freely between threads.  Every tree,
-surgery results included, is validated when it is built.  A forest keeps
-its components in the order given, so surgery splices new components in
-place; only the canonical form, which equality and serialization use,
-sorts them.
+so trees and forests can be shared freely between threads.
+
+``PhyloTree(adj, labels)``, the public constructor, validates every tree
+it builds.  Surgery does not: dropping a leaf or cutting an edge of a
+valid tree leaves valid trees, so ``tree_remove_leaf`` and
+``tree_remove_edge`` build their results with ``PhyloTree._trusted``,
+which skips the copy and the whole-tree check and patches the leaf index
+from the parent.  Such a tree stays unchecked until ``check()`` runs the
+full validation on it.  The trace replay (``reductions.replay_trace``,
+under ``validate_trace``, ``build_network`` and the commands built on
+them) checks every tree a step creates, so a trace from outside is held
+to the same checks as a parsed tree.  A forest keeps its components in
+the order given, so surgery splices new components in place; only the
+canonical form, which equality and serialization use, sorts them.
 
 Surgery functions come in two flavours: the plain ones return the new
 forest, the ``*_traced`` ones additionally return a record of which vertex
@@ -48,21 +57,45 @@ class PhyloTree:
     exactly three.
     """
 
-    __slots__ = ("adj", "labels", "vertex_of", "_canon")
+    __slots__ = ("adj", "labels", "vertex_of", "_canon", "_checked")
 
     def __init__(self, adj, labels):
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
         self.labels = dict(labels)
         self._canon = None
-        self._validate()
+        self.vertex_of = self._validate()
+        self._checked = True
+
+    @classmethod
+    def _trusted(cls, adj, labels, vertex_of):
+        """A tree made by surgery on a valid tree, taking ownership of
+        the given dicts (frozenset values, ``vertex_of`` the inverse of
+        ``labels``) without copying or validating them; see ``check``."""
+        tree = cls.__new__(cls)
+        tree.adj = adj
+        tree.labels = labels
+        tree.vertex_of = vertex_of
+        tree._canon = None
+        tree._checked = False
+        return tree
+
+    def check(self):
+        """Run the full validation on a tree built by ``_trusted``, once;
+        trees from the public constructor are already checked."""
+        if not self._checked:
+            if self._validate() != self.vertex_of:
+                raise ValueError("leaf index does not match the labels")
+            self._checked = True
 
     def _validate(self):
+        """Check the adjacency and labels; returns the leaf index they
+        define (label -> vertex)."""
         adj, labels = self.adj, self.labels
         if not adj:
             raise ValueError("a tree has at least one vertex")
-        self.vertex_of = {lab: v for v, lab in labels.items()}
+        vertex_of = {lab: v for v, lab in labels.items()}
         if not (
-            len(self.vertex_of) == len(labels)
+            len(vertex_of) == len(labels)
             and labels.keys() <= adj.keys()
             and all(labels.values())
             and FORBIDDEN_LABEL_CHARS.isdisjoint("".join(labels.values()))
@@ -102,6 +135,7 @@ class PhyloTree:
                 if v in labels:
                     raise ValueError("labeled vertex %r has degree > 1" % (v,))
                 raise ValueError("internal vertex %r has degree %d" % (v, len(ns)))
+        return vertex_of
 
     # -- basic accessors ---------------------------------------------------
 
@@ -313,6 +347,7 @@ def tree_remove_leaf(tree, label):
         (pv,) = tree.adj[xv]
         plab = tree.labels[pv]
         rec = LeafRemoval(label, "collapsed", xv, partner_vertex=pv, partner_label=plab)
+        # a new one-vertex tree, not patched from the parent: checking it is free
         return PhyloTree({pv: frozenset()}, {pv: plab}), rec
     (u,) = tree.adj[xv]
     n1, n2 = sorted(tree.adj[u] - {xv})
@@ -320,9 +355,12 @@ def tree_remove_leaf(tree, label):
     adj = dict(tree.adj)
     del adj[xv], adj[u]
     _join(adj, n1, n2, u)
-    labels = {v: l for v, l in tree.labels.items() if v != xv}
+    labels = dict(tree.labels)
+    del labels[xv]
+    vertex_of = dict(tree.vertex_of)
+    del vertex_of[label]
     rec = LeafRemoval(label, "suppressed", xv, suppressed_vertex=u, merged_edge=(n1, n2))
-    return PhyloTree(adj, labels), rec
+    return PhyloTree._trusted(adj, labels, vertex_of), rec
 
 
 def tree_remove_edge(tree, edge):
@@ -344,21 +382,27 @@ def tree_remove_edge(tree, edge):
             n1, n2 = sorted(adj.pop(z))
             _join(adj, n1, n2, z)
             effects.append(EndpointEffect(z, "suppressed", merged_edge=(n1, n2)))
-    comps = []
-    for z, eff in zip((a, b), effects):
-        start = z if eff.kind == "leaf" else eff.merged_edge[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        sub_adj = {v: adj[v] for v in seen}
-        sub_labels = {v: l for v, l in tree.labels.items() if v in seen}
-        comps.append(PhyloTree(sub_adj, sub_labels))
-    return tuple(comps), EdgeRemoval(_edge(a, b), tuple(effects))
+    # walk side a; side b is what is left of the adjacency and the labels
+    order = [a if effects[0].kind == "leaf" else effects[0].merged_edge[0]]
+    seen = set(order)
+    for v in order:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    adj_a = {v: adj.pop(v) for v in order}
+    labels, vertex_of = dict(tree.labels), dict(tree.vertex_of)
+    labels_a, vertex_of_a = {}, {}
+    for v in order:
+        lab = labels.pop(v, None)
+        if lab is not None:
+            labels_a[v] = lab
+            vertex_of_a[lab] = vertex_of.pop(lab)
+    comps = (
+        PhyloTree._trusted(adj_a, labels_a, vertex_of_a),
+        PhyloTree._trusted(adj, labels, vertex_of),
+    )
+    return comps, EdgeRemoval(_edge(a, b), tuple(effects))
 
 
 def restrict(tree, keep):

@@ -415,3 +415,24 @@ def test_gen_pair_hybrid_equals_tbr_on_trees(files, capsys):
         code, tbr_out, _ = run_main(["tbr", "--tree1", f1, "--tree2", f2], capsys)
         assert code == 0
         assert hybrid_out.strip() == tbr_out.strip()
+
+
+def test_tbr_cap_zero_expands_only_level_zero(files, capsys, monkeypatch):
+    # level k of the deepening asks for weight <= k with cutoff k + 1;
+    # recursive calls only lower the cutoff
+    from cherrypick.search import _Searcher
+
+    cutoffs = []
+    residual = _Searcher.residual
+
+    def spy(self, F, F2, cutoff):
+        cutoffs.append(cutoff)
+        return residual(self, F, F2, cutoff)
+
+    monkeypatch.setattr(_Searcher, "residual", spy)
+    _, write = files
+    a = write("a.nwk", "((1,2),((3,4),(5,6)));\n")
+    b = write("b.nwk", "((3,6),((1,4),(2,5)));\n")  # distance 2
+    code, out, err = run_main(["tbr", "--tree1", a, "--tree2", b, "--cap", "0"], capsys)
+    assert (code, out, err) == (4, "", "error: TBR distance exceeds cap 0\n")
+    assert cutoffs and max(cutoffs) == 1

@@ -1,9 +1,16 @@
 """Document parsing and serialization."""
 
+import contextlib
+import io
 import itertools
+import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from cherrypick.cli import main
 from cherrypick.errors import (
     DegreeViolation,
     Disconnected,
@@ -13,7 +20,8 @@ from cherrypick.errors import (
     SchemaError,
     TripleEdge,
 )
-from cherrypick.generate import random_forest, seeded_rng
+from cherrypick.generate import random_forest, random_tree, seeded_rng
+from cherrypick.networks import network_from_tree
 from cherrypick.newick import (
     parse_forest,
     parse_network,
@@ -22,7 +30,7 @@ from cherrypick.newick import (
     serialize_network,
     serialize_trace,
 )
-from cherrypick.reductions import ReductionStep, ReductionTrace
+from cherrypick.reductions import RULES, ReductionStep, ReductionTrace
 from cherrypick.trees import canonical_form
 
 from util import networks_isomorphic
@@ -258,3 +266,127 @@ def test_parse_accepts_crlf():
     assert f.ground_set == {"1", "2", "3", "4"}
     n = parse_network("x -- u\r\ny -- v\r\nu -- v\r\nu -- v\r\n")
     assert n.num_edges == 4
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any document either parses or raises ParseError, and the CLI
+# reports a document that does not parse with exit 2 and one error line
+
+
+def caterpillar(depth):
+    return "(" * depth + "x0," + ",".join("x%d)" % i for i in range(1, depth + 1)) + ";"
+
+
+def big_network(n):
+    tree = random_tree([str(i) for i in range(n)], seeded_rng(n))
+    return serialize_network(network_from_tree(tree))
+
+
+def truncated(docs):
+    """A prefix of each generated document, down to the empty one."""
+    return st.tuples(docs, st.integers(0, 10**6)).map(lambda d: d[0][: d[1] % (len(d[0]) + 1)])
+
+
+# "\r" is left out, as the CLI reads documents with universal newlines,
+# and so are surrogates, which a UTF-8 file cannot hold
+TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=40
+)
+FOREST_DOCS = st.one_of(
+    TEXT,
+    st.text("(),;:# \tab12\n", max_size=60),
+    truncated(st.integers(1, 3000).map(caterpillar)),
+    st.integers(1, 5000).map(lambda d: "(" * d + "a" + ")" * d + ";"),
+)
+NAMES = st.sampled_from(["a", "b", "c", "v1", "v2", "--", "#", "a#b"])
+NETWORK_LINES = st.one_of(
+    st.builds("{} -- {}".format, NAMES, NAMES),
+    st.builds("{} {} {}".format, NAMES, NAMES, NAMES),
+    NAMES,
+    st.text("ab -#\t1", max_size=12),
+)
+NETWORK_DOCS = st.one_of(
+    TEXT,
+    st.lists(NETWORK_LINES, max_size=12).map("\n".join),
+    truncated(st.integers(4, 400).map(big_network)),
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    st.sampled_from(list(RULES) + ["e_x", "e_y", "e_p", "forward", "reversed", "1", "2"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["label", "rule", "orientation", "params", "y", "p", "q", "cut", "z"]),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=20,
+)
+TRACE_DOCS = st.one_of(
+    TEXT,
+    JSON_VALUES.map(json.dumps),
+    truncated(JSON_VALUES.map(json.dumps)),
+    st.integers(1, 100_000).map(lambda d: "[" * d + "]" * d),
+    st.integers(1, 20_000).map(lambda d: '{"a":' * d + "1" + "}" * d),
+)
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def assert_parses_or_fails_cleanly(parse, doc, argv):
+    """``parse(doc)`` returns or raises ParseError; when it raises, ``main``
+    run on ``argv(path of doc, path of a valid forest)`` exits 2 with one
+    ``error:`` line on stderr."""
+    try:
+        parse(doc)
+        return
+    except ParseError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good = os.path.join(tmp, "bad"), os.path.join(tmp, "good.nwk")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        with open(good, "w", encoding="utf-8") as fh:
+            fh.write("((1,2),(3,4));\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv(bad, good))
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@FUZZ
+@given(FOREST_DOCS)
+def test_fuzz_parse_forest(doc):
+    assert_parses_or_fails_cleanly(
+        parse_forest, doc, lambda bad, good: ["hybrid", "--forest1", bad, "--forest2", good]
+    )
+
+
+@FUZZ
+@given(NETWORK_DOCS)
+def test_fuzz_parse_network(doc):
+    assert_parses_or_fails_cleanly(
+        parse_network, doc, lambda bad, good: ["displays", "--network", bad, "--forest", good]
+    )
+
+
+@FUZZ
+@given(TRACE_DOCS)
+@example("[" * 100_000 + "]" * 100_000)  # deeper than the JSON decoder recurses
+@example("[" + "1" * 5000 + "]")  # an integer past the int-from-text digit limit
+@example('[{"rule": []}]')  # an unhashable rule
+def test_fuzz_parse_trace(doc):
+    assert_parses_or_fails_cleanly(
+        parse_trace,
+        doc,
+        lambda bad, good: ["validate-trace", "--forest1", good, "--forest2", good, "--trace", bad],
+    )

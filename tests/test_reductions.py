@@ -2,6 +2,9 @@
 
 import pytest
 
+from cherrypick import trees
+from cherrypick.builder import build_network
+from cherrypick.cli import main
 from cherrypick.errors import (
     BadTerminal,
     GroundSetMismatch,
@@ -9,7 +12,7 @@ from cherrypick.errors import (
     ReplayError,
 )
 from cherrypick.generate import random_forest_pair, seeded_rng
-from cherrypick.newick import parse_forest, serialize_forest
+from cherrypick.newick import parse_forest, serialize_forest, serialize_trace
 from cherrypick.reductions import (
     RULES,
     ReductionStep,
@@ -24,7 +27,7 @@ from cherrypick.reductions import (
     validate_trace,
 )
 from cherrypick.search import greedy_cps
-from cherrypick.trees import canonical_form
+from cherrypick.trees import PhyloTree, canonical_form
 
 
 def state(a, b):
@@ -414,3 +417,65 @@ def test_weight_counts_c2_steps_exactly():
         trace = greedy_cps(F, F2)
         w = validate_trace(F, F2, trace)
         assert w == sum(1 for s in trace.steps if s.rule.startswith("C2"))
+
+
+# ---------------------------------------------------------------------------
+# surgery trees are unchecked; replay is the boundary that checks them
+
+
+def asymmetric(adj, labels):
+    v = min(u for u, ns in adj.items() if ns)
+    adj[v] = adj[v] - {min(adj[v])}
+    return "asymmetric adjacency"
+
+
+def dropped_vertex(adj, labels):
+    v = min(labels)
+    for w in adj.pop(v):
+        adj[w] = adj[w] - {v}
+    return "labeled vertex %r not in the tree" % (v,)
+
+
+def degree_two(adj, labels):
+    u, v = min((u, v) for u, ns in adj.items() for v in ns if u < v)
+    z = max(adj) + 1
+    adj[u], adj[v], adj[z] = adj[u] - {v} | {z}, adj[v] - {u} | {z}, frozenset((u, v))
+    return "internal vertex %r has degree 2" % (z,)
+
+
+@pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
+@pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
+def test_corrupted_surgery_tree_is_caught_at_replay(surgery, corrupt, monkeypatch, tmp_path, capsys):
+    real = getattr(trees, surgery)
+    faults = []
+
+    def spoil(tree):
+        if tree is None or tree.num_vertices < 2:
+            return tree
+        adj, labels = dict(tree.adj), dict(tree.labels)
+        faults.append(corrupt(adj, labels))
+        return PhyloTree._trusted(adj, labels, {lab: v for v, lab in labels.items()})
+
+    def corrupted(tree, arg):
+        out, record = real(tree, arg)
+        return (tuple(map(spoil, out)) if isinstance(out, tuple) else spoil(out)), record
+
+    monkeypatch.setattr(trees, surgery, corrupted)
+    F, F2 = state("((1,2),(3,4));", "((1,3),(2,4));")
+    for check in (validate_trace, build_network):
+        with pytest.raises(ReplayError) as exc:
+            check(F, F2, quartet_weight1_trace())
+        assert faults[0] in exc.value.reason
+    docs = {
+        "--forest1": "((1,2),(3,4));",
+        "--forest2": "((1,3),(2,4));",
+        "--trace": serialize_trace(quartet_weight1_trace()),
+    }
+    argv = ["validate-trace"]
+    for i, (flag, text) in enumerate(docs.items()):
+        path = tmp_path / str(i)
+        path.write_text(text)
+        argv += [flag, str(path)]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and faults[0] in err

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from cherrypick.errors import GroundSetMismatch, NotATree
+from cherrypick.errors import CapExceeded, GroundSetMismatch, NotATree
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, serialize_trace
 from cherrypick.oracles import tbr_neighbors
@@ -13,7 +13,13 @@ from cherrypick.reductions import labels_of, validate_trace
 from cherrypick.search import greedy_cps, hybrid_number, min_weight_cps, tbr_distance
 from cherrypick.trees import Forest, PhyloTree, canonical_form
 
-from util import all_topologies, forest_pairs, min_trace_bruteforce, min_trace_full_branching
+from util import (
+    all_topologies,
+    forest_pairs,
+    min_trace_bruteforce,
+    min_trace_full_branching,
+    witness_full_enumeration,
+)
 
 
 FIG_FOREST = "(1,3);\n((2,4),(5,6));"
@@ -278,3 +284,38 @@ def test_one_swap_at_four_hundred_leaves_is_exact():
     result = min_weight_cps(Forest([T]), Forest([T2]))
     assert result.status == "exact" and result.min_weight == 2
     assert validate_trace(Forest([T]), Forest([T2]), result.witness) == 2
+
+
+def test_witness_walk_matches_full_enumeration():
+    # the walk takes a C1 step, and any free step once no weight is left,
+    # without enumerating; the reference tries every step at every state
+    for n in range(4, 10):
+        labels = [str(i) for i in range(1, n + 1)]
+        for k in range(12):
+            rng = seeded_rng(1000 * n + k)
+            F, F2 = random_forest(labels, 1 + k % 3, rng), random_forest(labels, 1 + k % 3, rng)
+            result = min_weight_cps(F, F2)
+            reference = witness_full_enumeration(F, F2, result.min_weight)
+            assert serialize_trace(result.witness) == serialize_trace(reference)
+
+
+def test_value_only_solves_skip_the_witness_walk(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("walked a witness nobody reads")
+
+    monkeypatch.setattr("cherrypick.search._Searcher.witness", broken)
+    a = parse_forest("((1,2),((3,4),(5,6)));")
+    b = parse_forest("((3,6),((1,4),(2,5)));")
+    assert hybrid_number(a, b) == 2
+    assert tbr_distance(a, b) == 2
+    with pytest.raises(AssertionError, match="nobody reads"):
+        min_weight_cps(a, b)
+
+
+def test_tbr_distance_with_a_cap():
+    a = parse_forest("((1,2),((3,4),(5,6)));")
+    b = parse_forest("((3,6),((1,4),(2,5)));")
+    assert tbr_distance(a, b, cap=2) == 2
+    for cap in (0, 1):
+        with pytest.raises(CapExceeded, match="TBR distance exceeds cap %d" % cap):
+            tbr_distance(a, b, cap=cap)

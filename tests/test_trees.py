@@ -412,3 +412,21 @@ def test_remove_then_reattach_round_trip():
             labels[leaf] = x
         again = PhyloTree(adj, labels)
         assert again.canonical == t.canonical
+
+
+def test_check_validates_a_surgery_tree_and_its_leaf_index():
+    # surgery patches the leaf index from the parent instead of rebuilding
+    # it; check() runs the full validation and compares the index too
+    rng = seeded_rng(2424)
+    for n in (2, 3, 4, 7, 12):
+        t = random_tree([str(i) for i in range(n)], rng)
+        children = [tree_remove_leaf(t, lab)[0] for lab in sorted(t.leaf_labels)]
+        for edge in t.edges():
+            children.extend(tree_remove_edge(t, edge)[0])
+        for child in children:
+            if child is not None:
+                child.check()
+    child, _ = tree_remove_leaf(parse_tree("((1,2),(3,4));"), "1")
+    index = dict(child.vertex_of, **{"2": child.vertex_of["3"]})
+    with pytest.raises(ValueError, match="leaf index does not match the labels"):
+        PhyloTree._trusted(dict(child.adj), dict(child.labels), index).check()

@@ -1,6 +1,6 @@
 """Shared test helpers: an independent topology enumerator, a
-label-respecting network isomorphism check, and two brute-force minimum
-cherry picking sequences.
+label-respecting network isomorphism check, two brute-force minimum
+cherry picking sequences and a witness walk that enumerates every step.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) so they can serve as oracles for the
@@ -171,5 +171,28 @@ def min_trace_full_branching(F, F2):
             if step.cost <= weight and within(nF, nF2, weight - step.cost):
                 steps.append(step)
                 F, F2, weight = nF, nF2, weight - step.cost
+                break
+    return ReductionTrace(tuple(steps))
+
+
+def witness_full_enumeration(F, F2, weight):
+    """The lexicographically least trace of the given optimal weight, by
+    trying every legal step at every state, in ``applicable_steps``
+    order, and keeping the first whose child still reaches the weight.
+    Child values come from the exact search; only the walk's shortcut
+    for forced steps is left out."""
+    from cherrypick.search import _Searcher
+
+    searcher = _Searcher()
+    steps = []
+    need = weight
+    while len(F.ground_set) > 1:
+        for step in applicable_steps(F, F2):
+            if step.cost > need:
+                continue
+            nF, nF2 = apply_step(F, F2, step)
+            if searcher.residual(nF, nF2, need - step.cost + 1) == need - step.cost:
+                steps.append(step)
+                F, F2, need = nF, nF2, need - step.cost
                 break
     return ReductionTrace(tuple(steps))
