@@ -34,12 +34,10 @@ from .reductions import (
 )
 from .search import greedy_cps, hybrid_number, min_weight_cps, tbr_distance
 from .trees import (
-    CherryCase,
     EdgeRef,
     Forest,
     PhyloTree,
     canonical_form,
-    classify,
     pendant_of,
     pendant_shapes,
     remove_edge,
@@ -48,11 +46,10 @@ from .trees import (
     subtree_edge,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Blob",
-    "CherryCase",
     "CherryPickError",
     "EdgeRef",
     "Forest",
@@ -65,7 +62,6 @@ __all__ = [
     "blobs",
     "build_network",
     "canonical_form",
-    "classify",
     "displays",
     "greedy_cps",
     "hybrid_number",

@@ -34,7 +34,7 @@ from .newick import (
 )
 from .oracles import displays
 from .reductions import validate_trace
-from .search import min_weight_cps, tbr_distance
+from .search import _solve, tbr_distance
 
 PAIR_SEPARATOR = "# --- pair separator ---"
 
@@ -119,7 +119,8 @@ def _report(args, command, inputs, outcome, started, human_lines):
 
 def _cmd_hybrid(args, started):
     F, F2 = _read_pair(args)
-    result = min_weight_cps(F, F2, budget=args.budget)
+    walk = bool(args.trace_out or args.network_out)  # only output files need the witness
+    result = _solve(F, F2, budget=args.budget, walk=walk)
     inputs = {"forest1": args.forest1, "forest2": args.forest2}
     if result.status == "bounded":
         outcome = {

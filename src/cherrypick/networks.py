@@ -26,14 +26,13 @@ class PseudoNetwork:
     """Connected multigraph with internal degree three, at most double
     edges and labeled degree-<=1 vertices."""
 
-    __slots__ = ("edge_list", "labels", "vertex_of", "adj", "_names")
+    __slots__ = ("edge_list", "labels", "vertex_of", "adj")
 
     def __init__(self, edges, labels):
         self.edge_list = tuple(sorted(_edge(u, v) for u, v in edges))
         self.labels = dict(labels)
         self.vertex_of = {}
         self.adj = {}
-        self._names = None
         for v in self.labels:
             self.adj.setdefault(v, [])
         for u, v in self.edge_list:
@@ -72,9 +71,6 @@ class PseudoNetwork:
                         queue.append(w)
             if len(seen) != len(self.adj):
                 raise Disconnected("network is disconnected")
-            for v in self.labels:
-                if len(self.adj[v]) != 1:
-                    raise ValueError("leaf %r must have degree 1" % (v,))
 
     # -- accessors -----------------------------------------------------------
 
@@ -118,8 +114,6 @@ class PseudoNetwork:
         """Deterministic printable names: leaves keep their labels,
         internal vertices become v1, v2, ... in BFS order from the
         smallest leaf."""
-        if self._names is not None:
-            return self._names
         names = dict(self.labels)
         taken = set(names.values())
         order = []
@@ -142,7 +136,6 @@ class PseudoNetwork:
             names[v] = "v%d" % counter
             taken.add(names[v])
             counter += 1
-        self._names = names
         return names
 
 
@@ -197,88 +190,62 @@ class Blob:
 
 
 def blobs(network):
-    """All blobs of a network, with incidence data, sorted by vertex set."""
-    # biconnected components over edge instances (parallel edges distinct)
-    edges = list(network.edge_list)
-    inc = {v: [] for v in network.adj}
-    for i, (u, v) in enumerate(edges):
-        inc[u].append(i)
-        inc[v].append(i)
-    index = {}
-    low = {}
-    comps = []
-    counter = [0]
+    """All blobs of a network, with incidence data, sorted by vertex set.
 
-    def dfs(root):
-        stack = [(root, None, iter(inc[root]))]
-        estack = []
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for ei in it:
-                if ei == in_edge:
-                    continue
-                u, w = edges[ei]
-                other = w if v == u else u
-                if other not in index:
-                    estack.append(ei)
-                    index[other] = low[other] = counter[0]
-                    counter[0] += 1
-                    stack.append((other, ei, iter(inc[other])))
-                    advanced = True
-                    break
-                if index[other] < index[v]:
-                    estack.append(ei)
-                    low[v] = min(low[v], index[other])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= index[pv]:
-                    comp = []
-                    while estack:
-                        ei = estack.pop()
-                        comp.append(ei)
-                        if ei == in_edge:
-                            break
-                    comps.append(comp)
+    No vertex has degree above three, so two blobs never share a vertex
+    (it would meet two edges of each).  Fix a BFS spanning tree.  Each
+    fundamental cycle (a non-tree edge instance, such as the second copy
+    of a double edge, plus the tree path between its ends) lies in one
+    blob, and each blob edge lies on one: a non-tree edge on its own
+    cycle, a tree edge that is no bridge on the cycle of some non-tree
+    edge joining the two sides it separates.  So merging the vertices of
+    every fundamental cycle gives exactly the blobs' vertex sets.
+    """
+    adj, labels = network.adj, network.labels
+    root = next(iter(adj))
+    parent, depth, order = {root: None}, {root: 0}, [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                order.append(w)
+    top = {v: v for v in order}  # union-find; a class is led by its vertex nearest the root
 
-    for v in network.adj:
-        if v not in index and network.adj[v]:
-            dfs(v)
+    def find(v):
+        while top[v] != v:
+            top[v] = top[top[v]]
+            v = top[v]
+        return v
 
+    tree = Counter(_edge(v, parent[v]) for v in order[1:])
+    for u, v in (Counter(network.edge_list) - tree).elements():
+        a, b = find(u), find(v)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            top[a] = find(parent[a])
+            a = top[a]
+
+    inner, incident = {}, {}
+    for e in network.edge_list:
+        a, b = find(e[0]), find(e[1])
+        if a == b:
+            inner.setdefault(a, []).append(e)
+        else:
+            incident.setdefault(a, []).append(e)
+            incident.setdefault(b, []).append(e)
     out = []
-    for comp in comps:
-        if len(comp) < 2:
-            continue  # a lone edge is a bridge, not a blob
-        vset = frozenset(v for ei in comp for v in edges[ei])
-        bedges = tuple(sorted(edges[ei] for ei in comp))
-        incident = []
-        nontrivial = 0
-        leaves = set()
-        for u, v in network.edge_list:
-            inside = (u in vset) + (v in vset)
-            if inside != 1:
-                continue
-            outside = v if u in vset else u
-            incident.append((u, v))
-            if outside in network.labels:
-                leaves.add(network.labels[outside])
-            elif u in network.labels or v in network.labels:
-                leaves.add(network.labels.get(u, network.labels.get(v)))
-            else:
-                nontrivial += 1
+    for c, bedges in inner.items():
+        cut = incident.get(c, [])
+        # a labelled vertex has degree <= 1, so it is never inside a blob
+        leaves = frozenset(labels[v] for e in cut for v in e if v in labels)
         out.append(
             Blob(
-                vertices=vset,
-                edges=bedges,
-                incident_edges=tuple(sorted(set(incident))),
-                leaves=frozenset(leaves),
-                pendant=nontrivial <= 1,
+                vertices=frozenset(v for e in bedges for v in e),
+                edges=tuple(bedges),
+                incident_edges=tuple(cut),
+                leaves=leaves,
+                pendant=len(cut) - len(leaves) <= 1,
             )
         )
     out.sort(key=lambda b: sorted(b.vertices))
@@ -301,16 +268,9 @@ def remove_network_leaf(network, label):
     if len(network.vertex_of) < 2:
         raise TooSmall("cannot remove the only leaf")
     x = network.vertex_of[label]
-    (u,) = network.adj[x]
     labels = {v: l for v, l in network.labels.items() if v != x}
-    if u in network.labels:
-        # the network was the single edge {x, u}
-        return PseudoNetwork((), labels)
     edges = [e for e in network.edge_list if x not in e]
-    v, w = sorted(n for n in network.adj[u] if n != x)
-    edges = [e for e in edges if u not in e]
-    edges.append(_edge(v, w))
-    return PseudoNetwork(edges, labels)
+    return PseudoNetwork(_suppress_degree_two(edges, labels), labels)
 
 
 @dataclass(frozen=True)
@@ -387,11 +347,7 @@ def remove_blob_edge(network, edge):
     if not network.is_simple:
         raise UnsupportedConfiguration("expected a phylogenetic network")
     e = _edge(*edge)
-    host = None
-    for b in blobs(network):
-        if e in b:
-            host = b
-            break
+    host = next((b for b in blobs(network) if e in b), None)
     if host is None:
         raise NotABlobEdge("edge %r is not in any blob" % (edge,))
     if not host.pendant or len(host.leaves) < 2:
@@ -426,22 +382,11 @@ def remove_pendant_blob(network, blob):
         for e in blob.incident_edges
         if not (e[0] in network.labels or e[1] in network.labels)
     ]
-    if len(blob.leaves) == 1:
+    if not nontrivial:
+        # the network is the blob plus its one leaf
         (x_label,) = blob.leaves
-        if not nontrivial:
-            # the network is the blob plus its one leaf
-            return single_vertex_network(x_label)
-        (cut,) = nontrivial
-        u = cut[0] if cut[0] not in blob.vertices else cut[1]
-        x = network.vertex_of[x_label]
-        edges = [
-            e
-            for e in network.edge_list
-            if e[0] not in blob.vertices and e[1] not in blob.vertices
-        ]
-        edges.append(_edge(x, u))
-        return PseudoNetwork(edges, network.labels)
-    # no incident leaf: exactly one incident cut-edge {u, v}, v in the blob
+        return single_vertex_network(x_label)
+    # exactly one incident cut-edge {u, v} that is not a leaf's, v in the blob
     (cut,) = nontrivial
     u = cut[0] if cut[0] not in blob.vertices else cut[1]
     edges = [
@@ -449,12 +394,14 @@ def remove_pendant_blob(network, blob):
         for e in network.edge_list
         if e[0] not in blob.vertices and e[1] not in blob.vertices
     ]
+    if blob.leaves:
+        (x_label,) = blob.leaves
+        edges.append(_edge(network.vertex_of[x_label], u))
+        return PseudoNetwork(edges, network.labels)
     w, w2 = sorted(b if a == u else a for a, b in edges if u in (a, b))
     if _edge(w, w2) not in edges:
         # suppressing u keeps the graph simple
-        edges = [e for e in edges if u not in e]
-        edges.append(_edge(w, w2))
-        return PseudoNetwork(edges, network.labels)
+        return PseudoNetwork(_suppress_degree_two(edges, network.labels), network.labels)
     # suppression would double {w, w2}: subdivide it and re-attach u
     new_v = max(network.adj) + 1
     edges.remove(_edge(w, w2))

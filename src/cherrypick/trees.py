@@ -704,45 +704,3 @@ def remove_edge(forest, ref):
     the ground set is unchanged and the component count grows by one."""
     idx, edge = resolve_edge_ref(forest, ref)
     return remove_edge_traced(forest, idx, edge)[0]
-
-
-# ---------------------------------------------------------------------------
-# the four-way cherry classification
-
-
-@dataclass(frozen=True)
-class CherryCase:
-    """Which of the four mutually exclusive situations holds for a cherry
-    (x,y) of one forest relative to another: "i" same cherry, "ii" x or y
-    in another cherry (witnesses = (anchor, partner) pairs), "iii" same
-    tree but no cherry, "iv" different trees and no cherry.
-
-    Deprecated, with ``classify``: nothing in the package uses them, since
-    ``reductions._pair_moves`` states the same cases; they stay exported
-    for existing callers."""
-
-    case: str
-    witnesses: tuple = ()
-
-
-def classify(forest, other, cherry):
-    """The ``CherryCase`` of a cherry of ``forest`` relative to ``other``.
-    Deprecated: see ``CherryCase``."""
-    x, y = sorted(cherry)
-    if not forest.has_cherry((x, y)):
-        raise NotACherry("%r is not a cherry of the first forest" % (cherry,))
-    for lab in (x, y):
-        if lab not in other.ground_set:
-            raise UnknownLabel("label %r missing from the second forest" % (lab,))
-    if other.has_cherry((x, y)):
-        return CherryCase("i")
-    witnesses = []
-    for anchor in (x, y):
-        for z in other.cherry_partners(anchor):
-            if z not in (x, y):
-                witnesses.append((anchor, z))
-    if witnesses:
-        return CherryCase("ii", tuple(witnesses))
-    if other.component_index(x) == other.component_index(y):
-        return CherryCase("iii")
-    return CherryCase("iv")

@@ -8,7 +8,13 @@ from cherrypick.generate import random_forest_pair, seeded_rng
 from cherrypick.networks import network_from_tree, reticulation_number
 from cherrypick.newick import parse_forest
 from cherrypick.oracles import displays
-from cherrypick.reductions import ReductionStep, ReductionTrace, validate_trace
+from cherrypick.reductions import (
+    ReductionStep,
+    ReductionTrace,
+    apply_action,
+    check_step,
+    validate_trace,
+)
 from cherrypick.search import greedy_cps, min_weight_cps
 
 from util import networks_isomorphic
@@ -61,14 +67,54 @@ def test_isolated_cherry_undo():
 
 
 def test_internal_edge_undo_disjoint_images():
-    # six leaves force a C2 cut of an internal edge somewhere in the
-    # search tree; the undo must subdivide images of the two merged edges
+    # the minimum witness of this pair cuts pendant edges only; the traces
+    # of test_internal_edge_cut_undo cut internal edges
     F = parse_forest("((1,2),((3,4),(5,6)));")
     F2 = parse_forest("((3,6),((1,4),(2,5)));")
     result = min_weight_cps(F, F2)
     n = build_network(F, F2, result.witness)
     assert reticulation_number(n) <= result.min_weight
     assert displays(n, F) is not None and displays(n, F2) is not None
+
+
+# a C2 cut of an internal edge leaves both of its ends suppressed, so its
+# undo subdivides the images of two merged edges; each trace starts with
+# such a cut and finishes greedily
+INTERNAL_CUTS = [
+    (
+        "(((1,2),3),(4,5));",
+        "(((1,4),2),(3,5));",
+        ReductionStep("1", "C2a_ii", y="2", p="3", cut="e_xyp"),
+    ),
+    (
+        "((((2,4),3),5),1);",
+        "((((2,5),4),3),1);",
+        ReductionStep("1", "C2a_iii", y="5", p="2", q="4", cut="e_pq"),
+    ),
+    (
+        "((((3,5),2),(4,6)),1);",
+        "(((((4,6),3),5),2),1);",
+        ReductionStep("3", "C2b_ii", y="5", cut="c2b_edge"),
+    ),
+]
+
+
+@pytest.mark.parametrize("f1, f2, step", INTERNAL_CUTS)
+def test_internal_edge_cut_undo(f1, f2, step, monkeypatch):
+    F, F2 = parse_forest(f1), parse_forest(f2)
+    nF, nF2, record = apply_action(F, F2, check_step(F, F2, step))
+    assert [eff.kind for eff in record[2].effects] == ["suppressed", "suppressed"]
+    trace = ReductionTrace((step,) + greedy_cps(nF, nF2).steps)
+    n = build_network(F, F2, trace)
+    assert reticulation_number(n) <= trace.weight
+    assert displays(n, F) is not None and displays(n, F2) is not None
+
+    peek = BuildState.peek_path
+    monkeypatch.setattr(
+        BuildState, "peek_path", lambda self, side, a, b: peek(self, side, a, b) + ["shared"]
+    )
+    with pytest.raises(ImageTrackingError, match="images of the split components overlap"):
+        build_network(F, F2, trace)
 
 
 def test_builder_invalid_trace():

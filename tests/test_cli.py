@@ -1,5 +1,6 @@
 """Command-line behaviour and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -159,10 +160,45 @@ def test_unexpected_exception_exit_1_without_traceback(files, capsys, monkeypatc
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("cherrypick.cli.min_weight_cps", broken)
+    monkeypatch.setattr("cherrypick.cli._solve", broken)
     code, out, err = run_main(["hybrid", "--forest1", f, "--forest2", f], capsys)
     assert code == 1 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# a weight-2 pair whose witness walk expands nodes of its own
+WALK_A = "((1,2),((3,4),(5,6)));\n"
+WALK_B = "((3,6),((1,4),(2,5)));\n"
+
+
+def test_hybrid_without_output_files_skips_the_witness_walk(files, capsys, monkeypatch):
+    _, write = files
+    f1, f2 = write("f1.nwk", WALK_A), write("f2.nwk", WALK_B)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("walked the witness")
+
+    monkeypatch.setattr("cherrypick.search._Searcher.witness", broken)
+    code, out, _ = run_main(["hybrid", "--forest1", f1, "--forest2", f2], capsys)
+    assert code == 0 and out == "2\n"
+    code, out, _ = run_main(["--json", "hybrid", "--forest1", f1, "--forest2", f2], capsys)
+    outcome = json.loads(out)["outcome"]
+    assert code == 0 and outcome["hybrid_number"] == 2
+    # the counters are those of the search levels alone
+    assert outcome["nodes"] == sum(outcome["stats"]["level_nodes"])
+
+
+def test_hybrid_trace_out_writes_the_walked_witness(files, capsys):
+    tmp, write = files
+    f1, f2 = write("f1.nwk", WALK_A), write("f2.nwk", WALK_B)
+    trace_out = tmp / "trace.json"
+    code, out, _ = run_main(
+        ["hybrid", "--forest1", f1, "--forest2", f2, "--trace-out", str(trace_out)], capsys
+    )
+    assert code == 0 and out == "2\n"
+    # the bytes cherrypick 0.1.0 writes for this pair
+    digest = "00f7b2c3e2c11c75dc59d4474ae18350a81d19dd7a04b6c37992b6b211343d94"
+    assert hashlib.sha256(trace_out.read_bytes()).hexdigest() == digest
 
 
 def test_tbr_identical_zero(files, capsys):

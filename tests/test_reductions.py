@@ -173,6 +173,29 @@ def test_apply_c2a_iii_rejected_on_whole_quartet():
         apply_step(F, F2, step)
 
 
+# generic faults of a step built by hand (parse_trace stops them in a
+# trace document before a step exists)
+GENERIC_FAULTS = [
+    (ReductionStep("1", "C4", y="2"), "unknown rule 'C4'"),
+    (ReductionStep("1", "C1", "sideways", y="2"), "unknown orientation 'sideways'"),
+    (ReductionStep("1", "C2a_i", y="2", cut="e_p"), "C2a_i cut must be one of e_x, e_y"),
+    (ReductionStep("9", "C1", y="2"), "label '9' is not in the ground set"),
+    (ReductionStep("1", "C2a_i", cut="e_x"), "missing or invalid cherry partner"),
+]
+
+
+@pytest.mark.parametrize("step, message", GENERIC_FAULTS)
+def test_check_step_generic_faults(step, message):
+    F, F2 = state("((1,2),(3,4));", "((1,3),(2,4));")
+    with pytest.raises(InapplicableStep) as exc:
+        check_step(F, F2, step)
+    assert str(exc.value) == message
+    with pytest.raises(ReplayError) as exc:
+        replay_trace(F, F2, ReductionTrace((step,)))
+    assert exc.value.step_index == 0
+    assert exc.value.reason == "%s: %s" % (step.describe(), message)
+
+
 # ---------------------------------------------------------------------------
 # lookup of a step among the enumerated moves
 

@@ -18,7 +18,6 @@ from cherrypick.trees import (
     Forest,
     PhyloTree,
     canonical_form,
-    classify,
     pendant_of,
     pendant_shapes,
     remove_edge,
@@ -283,56 +282,6 @@ def test_shape_requires_cherry():
     t = tree("((1,2),(3,4));")
     with pytest.raises(NotACherry):
         pendant_shapes(t, ("1", "3"))
-
-
-# ---------------------------------------------------------------------------
-# the four-way classification
-
-
-def test_classify_same_cherry():
-    f = parse_forest("((1,2),(3,4));")
-    assert classify(f, f, ("1", "2")).case == "i"
-
-
-def test_classify_other_cherry_with_witness():
-    f = parse_forest("((1,2),(3,4));")
-    g = parse_forest("((1,3),(2,4));")
-    got = classify(f, g, ("1", "2"))
-    assert got.case == "ii"
-    assert ("1", "3") in got.witnesses and ("2", "4") in got.witnesses
-
-
-def test_classify_same_tree_no_cherry():
-    f = parse_forest("(1,2);\n(3,4);\n(5,6);")
-    g = parse_forest("((3,4),(1,(2,(5,6))));")
-    got = classify(f, g, ("1", "2"))
-    assert got.case == "iii"
-
-
-def test_classify_different_trees_no_cherry():
-    # 1 and 2 sit in different trees of g, each attached between two
-    # internal vertices, so neither is in a cherry there
-    f = parse_forest("((1,2),((3,4),((5,6),((7,8),(9,a)))));")
-    g = parse_forest("((3,4),(1,(5,6)));\n((7,8),(2,(9,a)));")
-    got = classify(f, g, ("1", "2"))
-    assert got.case == "iv"
-
-
-def test_classify_requires_cherry():
-    f = parse_forest("((1,2),(3,4));")
-    with pytest.raises(NotACherry):
-        classify(f, f, ("1", "3"))
-
-
-def test_classify_total_and_single_valued():
-    rng = seeded_rng(99)
-    labels = [str(i) for i in range(1, 8)]
-    for _ in range(100):
-        f = random_forest(labels, rng.randint(1, 3), rng)
-        g = random_forest(labels, rng.randint(1, 3), rng)
-        for cherry in f.cherries():
-            got = classify(f, g, cherry)
-            assert got.case in ("i", "ii", "iii", "iv")
 
 
 # ---------------------------------------------------------------------------
