@@ -22,7 +22,7 @@ of each forest for vertex-disjointness.
 from .errors import ImageTrackingError
 from .networks import PseudoNetwork, reticulation_number
 from .reductions import replay_trace
-from .trees import _edge
+from .trees import Forest, PhyloTree, _edge
 
 
 class BuildState:
@@ -297,9 +297,26 @@ class BuildState:
                         raise ImageTrackingError("leaf %r mapped to the wrong vertex" % lab)
 
 
+def _ids_apart(forest):
+    """The forest itself when no two components share a vertex id, else
+    the forest with its components renumbered apart: vertex ids are
+    private to each tree, but the image maps key them per forest."""
+    ids = [v for tree in forest.components for v in tree.adj]
+    if len(set(ids)) == len(ids):
+        return forest
+    comps, base = [], 0
+    for tree in forest.components:
+        new = {v: base + i for i, v in enumerate(tree.adj)}
+        base += len(new)
+        adj = {new[v]: [new[w] for w in ns] for v, ns in tree.adj.items()}
+        comps.append(PhyloTree(adj, {new[v]: lab for v, lab in tree.labels.items()}))
+    return Forest(comps)
+
+
 def build_network(F, F2, trace, verify=True):
     """A phylogenetic network on the shared label set displaying both
     forests, with reticulation number at most the trace weight."""
+    F, F2 = _ids_apart(F), _ids_apart(F2)
     replay = replay_trace(F, F2, trace)
 
     last_F, last_F2 = replay.states[-1]

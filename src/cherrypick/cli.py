@@ -3,7 +3,8 @@
 Subcommands: hybrid, tbr, validate-trace, build-network, displays, gen.
 Exit codes: 0 success, 1 internal error, 2 parse/input error (negative
 budgets and caps included) or unwritable output path, 3 ground-set
-mismatch, 4 budget or cap exhausted, 5 semantic validation failure.
+mismatch, 4 budget, cap or size guard exhausted (``displays`` on a
+network above 40 vertices), 5 semantic validation failure.
 ``--json`` switches the report to a stable machine-readable object.
 """
 
@@ -21,6 +22,7 @@ from .errors import (
     GroundSetMismatch,
     LabelMismatch,
     ParseError,
+    ScaleGuard,
 )
 from .generate import random_forest, seeded_rng
 from .networks import reticulation_number
@@ -286,7 +288,7 @@ def main(argv=None):
     except (GroundSetMismatch, LabelMismatch) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
-    except CapExceeded as exc:
+    except (CapExceeded, ScaleGuard) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     except CherryPickError as exc:

@@ -19,7 +19,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedConfiguration,
 )
-from .trees import PhyloTree, is_valid_label, _edge
+from .trees import PhyloTree, is_valid_label, _edge, _reach
 
 
 class PseudoNetwork:
@@ -60,17 +60,8 @@ class PseudoNetwork:
                     raise ValueError("labeled vertex %r has degree %d" % (v, len(ns)))
             elif len(ns) != 3:
                 raise ValueError("internal vertex %r has degree %d" % (v, len(ns)))
-        if len(self.adj) > 1:
-            seen = {next(iter(self.adj))}
-            queue = deque(seen)
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != len(self.adj):
-                raise Disconnected("network is disconnected")
+        if len(_reach(self.adj, next(iter(self.adj)))) != len(self.adj):
+            raise Disconnected("network is disconnected")
 
     # -- accessors -----------------------------------------------------------
 

@@ -5,19 +5,18 @@ distance by breadth-first search over the move graph of unrooted binary
 trees, and display checking by exhaustive backtracking over subdivision
 embeddings with the leaf map fixed.  Both are deliberately simple and
 share no code with the search, the reduction rules or the network
-builder they judge.  They do share the tree layer: trees are
-``PhyloTree`` values compared by their canonical Newick form, a TBR move
-cuts its edge with the solver's own ``tree_remove_edge``, and the BFS
-parses each frontier tree back from that form with ``parse_forest``.
-The ``cherrypick tbr`` command runs the exact solver, not this BFS.
+builder they judge, nor with the surgery and the parser.  They share
+only the tree values: trees are ``PhyloTree`` values compared by their
+canonical Newick form, and a TBR move splits a tree into the
+restrictions to the two leaf sets of the cut edge.  The ``cherrypick
+tbr`` command runs the exact solver, not this BFS.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, LabelMismatch, ScaleGuard, TooSmall
-from .newick import parse_forest
-from .trees import PhyloTree, tree_remove_edge, _edge
+from .trees import PhyloTree, restrict, _edge
 
 
 # ---------------------------------------------------------------------------
@@ -55,24 +54,29 @@ def _reconnect(part_a, point_a, part_b, point_b):
     return PhyloTree(adj, labels)
 
 
-def tbr_neighbors(tree):
-    """Canonical forms of every tree one TBR move away: cut any edge,
-    suppress, reconnect the parts by one new edge attached at an edge
-    subdivision point (or directly to a single-vertex part).  The tree
-    itself is excluded."""
-    if len(tree.leaf_labels) < 4:
-        raise TooSmall("TBR moves need at least four leaves")
-    me = tree.canonical
-    out = set()
+def _tbr_trees(tree):
+    """Every tree one TBR move away, keyed by canonical form: cut any
+    edge, suppress, reconnect the parts by one new edge attached at an
+    edge subdivision point (or directly to a single-vertex part).  The
+    tree itself is among them."""
+    out = {}
     for edge in tree.edges():
-        (part_a, part_b), _ = tree_remove_edge(tree, edge)
+        side = tree.side_leaves(edge, edge[0])
+        part_a = restrict(tree, side)
+        part_b = restrict(tree, tree.leaf_labels - side)
         for point_a in _attach_points(part_a):
             for point_b in _attach_points(part_b):
                 candidate = _reconnect(part_a, point_a, part_b, point_b)
-                canon = candidate.canonical
-                if canon != me:
-                    out.add(canon)
+                out[candidate.canonical] = candidate
     return out
+
+
+def tbr_neighbors(tree):
+    """Canonical forms of every tree one TBR move away; the tree itself
+    is excluded."""
+    if len(tree.leaf_labels) < 4:
+        raise TooSmall("TBR moves need at least four leaves")
+    return set(_tbr_trees(tree)) - {tree.canonical}
 
 
 def tbr_distance_bfs(tree, tree2, cap=None):
@@ -84,22 +88,23 @@ def tbr_distance_bfs(tree, tree2, cap=None):
     target = tree2.canonical
     if tree.canonical == target:
         return 0
-    frontier = {tree.canonical}
+    frontier = {tree.canonical: tree}
     visited = set(frontier)
     dist = 0
     while frontier:
         dist += 1
         if cap is not None and dist > cap:
             raise CapExceeded("TBR distance exceeds cap %d" % cap)
-        nxt = set()
-        for canon in frontier:
-            current = parse_forest(canon).components[0]
-            for nb in tbr_neighbors(current):
+        nxt = {}
+        # set order, not insertion order: in insertion order the search
+        # expands more trees before it meets the target
+        for canon in set(frontier):
+            for nb, nb_tree in _tbr_trees(frontier[canon]).items():
                 if nb == target:
                     return dist
                 if nb not in visited:
                     visited.add(nb)
-                    nxt.add(nb)
+                    nxt[nb] = nb_tree
         frontier = nxt
     raise LabelMismatch("move graph exhausted without reaching the target")
 

@@ -49,6 +49,19 @@ def _edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _reach(adj, root, avoid=None):
+    """Vertices reachable from `root` without entering `avoid`, in
+    breadth-first order."""
+    order = [root]
+    seen = {root, avoid}
+    for v in order:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 class PhyloTree:
     """Unrooted binary tree whose leaves carry unique labels.
 
@@ -121,14 +134,7 @@ class PhyloTree:
         n, m = len(adj), sum(map(len, adj.values())) // 2
         if m != n - 1:
             raise ValueError("not a tree: %d vertices, %d edges" % (n, m))
-        order = [next(iter(adj))]
-        seen = set(order)
-        for v in order:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        if len(order) != n:
+        if len(_reach(adj, next(iter(adj)))) != n:
             raise ValueError("tree is disconnected")
         for v, ns in adj.items():
             if len(ns) > 1 if v in labels else len(ns) != 3:
@@ -202,21 +208,8 @@ class PhyloTree:
         """Leaf labels of the component of `tree - edge` containing `endpoint`."""
         u, v = edge
         other = v if endpoint == u else u
-        seen = {other, endpoint}
-        queue = deque([endpoint])
-        labs = set()
-        if endpoint in self.labels:
-            labs.add(self.labels[endpoint])
-        while queue:
-            a = queue.popleft()
-            for w in self.adj[a]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w in self.labels:
-                    labs.add(self.labels[w])
-                queue.append(w)
-        return frozenset(labs)
+        labels = self.labels
+        return frozenset(labels[w] for w in _reach(self.adj, endpoint, other) if w in labels)
 
     # -- canonical form ----------------------------------------------------
 
@@ -383,13 +376,7 @@ def tree_remove_edge(tree, edge):
             _join(adj, n1, n2, z)
             effects.append(EndpointEffect(z, "suppressed", merged_edge=(n1, n2)))
     # walk side a; side b is what is left of the adjacency and the labels
-    order = [a if effects[0].kind == "leaf" else effects[0].merged_edge[0]]
-    seen = set(order)
-    for v in order:
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
+    order = _reach(adj, a if effects[0].kind == "leaf" else effects[0].merged_edge[0])
     adj_a = {v: adj.pop(v) for v in order}
     labels, vertex_of = dict(tree.labels), dict(tree.vertex_of)
     labels_a, vertex_of_a = {}, {}
@@ -470,29 +457,42 @@ def pendant_shapes(tree, cherry):
     c = tree.cherry_vertex(cherry)
     if c is None:
         return []
+    labels = tree.labels
     (d,) = tree.adj[c] - {tree.vertex_of[x], tree.vertex_of[y]}
-    shapes = []
-    if d in tree.labels:
+    if d in labels:
         # three-leaf star: ((x,y),z) is the whole tree
-        shapes.append(PendantShape("xyp", tree.labels[d], e_p=_edge(c, d)))
-        return shapes
-    others = sorted(tree.adj[d] - {c})
-    other_leaves = [w for w in others if w in tree.labels]
-    if len(other_leaves) == 2:
-        # the component is the quartet ((x,y),(p,q)); the two ((x,y),p)
-        # shapes are proper, the quartet itself is not
-        pa, pb = others
-        for leaf_v, cut_v in ((pa, pb), (pb, pa)):
+        return [PendantShape("xyp", labels[d], e_p=_edge(c, d))]
+    a, b = sorted(tree.adj[d] - {c})
+    shapes = []
+    for w, other in ((a, b), (b, a)):
+        # cutting (d, other) leaves the pendant subtree of d on the side of w
+        if w in labels:
             shapes.append(
                 PendantShape(
                     "xyp",
-                    tree.labels[leaf_v],
+                    labels[w],
                     proper=True,
-                    e_p=_edge(d, leaf_v),
-                    cut_edge=_edge(d, cut_v),
+                    e_p=_edge(d, w),
+                    cut_edge=_edge(d, other),
                 )
             )
-        p, q = sorted(tree.labels[w] for w in others)
+        elif all(g in labels for g in tree.adj[w] - {d}):
+            p, q = sorted(labels[g] for g in tree.adj[w] - {d})
+            shapes.append(
+                PendantShape(
+                    "xypq",
+                    p,
+                    q=q,
+                    proper=True,
+                    e_p=tree.pendant_edge(p),
+                    e_q=tree.pendant_edge(q),
+                    e_pq=_edge(d, w),
+                    cut_edge=_edge(d, other),
+                )
+            )
+    if a in labels and b in labels:
+        # the component is the quartet ((x,y),(p,q)), which is not proper
+        p, q = sorted((labels[a], labels[b]))
         shapes.append(
             PendantShape(
                 "xypq",
@@ -503,35 +503,6 @@ def pendant_shapes(tree, cherry):
                 e_pq=_edge(c, d),
             )
         )
-    else:
-        for w in others:
-            rest = [o for o in others if o != w]
-            if w in tree.labels:
-                shapes.append(
-                    PendantShape(
-                        "xyp",
-                        tree.labels[w],
-                        proper=True,
-                        e_p=_edge(d, w),
-                        cut_edge=_edge(d, rest[0]),
-                    )
-                )
-            else:
-                grand = sorted(tree.adj[w] - {d})
-                if all(g in tree.labels for g in grand):
-                    p, q = sorted(tree.labels[g] for g in grand)
-                    shapes.append(
-                        PendantShape(
-                            "xypq",
-                            p,
-                            q=q,
-                            proper=True,
-                            e_p=tree.pendant_edge(p),
-                            e_q=tree.pendant_edge(q),
-                            e_pq=_edge(d, w),
-                            cut_edge=_edge(d, rest[0]),
-                        )
-                    )
     shapes.sort(key=lambda s: (s.kind, s.p, s.q or ""))
     return shapes
 

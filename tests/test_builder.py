@@ -2,9 +2,9 @@
 
 import pytest
 
-from cherrypick.builder import BuildState, build_network
+from cherrypick.builder import BuildState, _ids_apart, build_network
 from cherrypick.errors import GroundSetMismatch, ImageTrackingError, InvalidTrace
-from cherrypick.generate import random_forest_pair, seeded_rng
+from cherrypick.generate import random_forest_pair, random_tree, seeded_rng
 from cherrypick.networks import network_from_tree, reticulation_number
 from cherrypick.newick import parse_forest
 from cherrypick.oracles import displays
@@ -16,6 +16,7 @@ from cherrypick.reductions import (
     validate_trace,
 )
 from cherrypick.search import greedy_cps, min_weight_cps
+from cherrypick.trees import Forest, PhyloTree
 
 from util import networks_isomorphic
 
@@ -162,6 +163,34 @@ def test_build_on_minimum_witnesses():
         assert reticulation_number(net) <= result.min_weight
         assert displays(net, F) is not None
         assert displays(net, F2) is not None
+
+
+def _assert_builds(F, F2):
+    result = min_weight_cps(F, F2)
+    net = build_network(F, F2, result.witness)
+    assert reticulation_number(net) <= result.min_weight
+    assert displays(net, F) is not None
+    assert displays(net, F2) is not None
+
+
+def test_components_sharing_vertex_ids_build():
+    # vertex ids are private to each tree, so two components may reuse them
+    edge = {0: {1}, 1: {0}}
+    F = Forest([PhyloTree(edge, {0: "a", 1: "b"}), PhyloTree(edge, {0: "c", 1: "d"})])
+    _assert_builds(F, parse_forest("((a,c),(b,d));"))
+    rng = seeded_rng(2020)
+    for _ in range(10):
+        labels = [str(i) for i in range(1, rng.randint(5, 8) + 1)]
+        cut = rng.randint(1, len(labels) - 1)
+        F = Forest([random_tree(labels[:cut], rng), random_tree(labels[cut:], rng)])
+        rng.shuffle(labels)
+        F2 = Forest([random_tree(labels[:cut], rng), random_tree(labels[cut:], rng)])
+        _assert_builds(F, F2)
+
+
+def test_forests_with_distinct_vertex_ids_are_not_renumbered():
+    F = parse_forest("(1,2);\n((3,4),(5,6));")
+    assert _ids_apart(F) is F
 
 
 def test_ground_set_mismatch_propagates():

@@ -9,9 +9,10 @@ import pytest
 
 from cherrypick.cli import PAIR_SEPARATOR, main
 from cherrypick.generate import random_forest, seeded_rng
-from cherrypick.newick import parse_forest, parse_network, serialize_forest
+from cherrypick.newick import parse_forest, parse_network, serialize_forest, serialize_network
 from cherrypick.oracles import displays, tbr_distance_bfs
-from cherrypick.networks import reticulation_number
+from cherrypick.networks import network_from_tree, reticulation_number
+from cherrypick.trees import Forest
 
 QUARTET_A = "((1,2),(3,4));\n"
 QUARTET_B = "((1,3),(2,4));\n"
@@ -412,6 +413,17 @@ def test_displays_json_witness(files, capsys):
     report = json.loads(out)
     assert report["outcome"]["displays"] is True
     assert report["outcome"]["witness"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_displays_past_the_size_guard_exit_4(files, capsys, json_flag):
+    _, write = files
+    tree = random_forest([str(i) for i in range(1, 26)], 1, seeded_rng(3)).components[0]
+    net = write("net.txt", serialize_network(network_from_tree(tree)))
+    f = write("f.nwk", serialize_forest(Forest([tree])))
+    code, out, err = run_main(json_flag + ["displays", "--network", net, "--forest", f], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "48" in err
 
 
 def test_gen_deterministic_bytes():

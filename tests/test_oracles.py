@@ -1,7 +1,11 @@
 """Brute-force oracles: TBR moves and display embedding."""
 
+import ast
+import pathlib
+
 import pytest
 
+import cherrypick.oracles
 from cherrypick.errors import CapExceeded, LabelMismatch, ScaleGuard, TooSmall
 from cherrypick.generate import random_tree, seeded_rng
 from cherrypick.networks import network_from_tree
@@ -12,6 +16,27 @@ from cherrypick.trees import Forest, remove_edge_traced
 from util import all_topologies
 
 FOUR_CYCLE = "1 -- a\n2 -- b\n3 -- c\n4 -- d\na -- b\nb -- c\nc -- d\nd -- a\n"
+
+
+# ---------------------------------------------------------------------------
+# independence of the judge
+
+
+def test_oracle_imports_only_the_tree_values():
+    # the judge must not reuse the search, the rules, the builder, the
+    # surgery or the parser it is meant to check
+    tree = ast.parse(pathlib.Path(cherrypick.oracles.__file__).read_text())
+    package = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "cherrypick" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "cherrypick"
+        ):
+            module = (node.module or "").split(".")[-1]
+            package.setdefault(module, set()).update(a.name for a in node.names)
+    assert set(package) == {"errors", "trees"}
+    assert package["trees"] == {"PhyloTree", "restrict", "_edge"}
 
 
 # ---------------------------------------------------------------------------

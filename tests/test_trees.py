@@ -16,6 +16,7 @@ from cherrypick.generate import random_forest, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, parse_tree, serialize_forest
 from cherrypick.trees import (
     Forest,
+    PendantShape,
     PhyloTree,
     canonical_form,
     pendant_of,
@@ -276,6 +277,44 @@ def test_shape_xypq_proper():
 def test_shape_two_leaf_component_has_none():
     t = tree("(1,2);")
     assert pendant_shapes(t, ("1", "2")) == []
+
+
+def _proper_shapes_by_definition(t, x, y):
+    """The pendant subtrees ((x,y),p) and ((x,y),(p,q)) read off the
+    sides of every edge: a side {x,y,p}, or a side {x,y,p,q} where {p,q}
+    is itself a side."""
+    cut_of = {t.side_leaves((u, v), end): (u, v) for u, v in t.edges() for end in (u, v)}
+    out = set()
+    for side, cut in cut_of.items():
+        if {x, y} < side and len(side) <= 4:
+            rest = sorted(side - {x, y})
+            if len(rest) == 1:
+                (p,) = rest
+                out.add(PendantShape("xyp", p, proper=True, e_p=t.pendant_edge(p), cut_edge=cut))
+            elif frozenset(rest) in cut_of:
+                p, q = rest
+                out.add(
+                    PendantShape(
+                        "xypq",
+                        p,
+                        q=q,
+                        proper=True,
+                        e_p=t.pendant_edge(p),
+                        e_q=t.pendant_edge(q),
+                        e_pq=cut_of[frozenset(rest)],
+                        cut_edge=cut,
+                    )
+                )
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_proper_shapes_are_the_pendant_subtrees(n):
+    for t in all_topologies([str(i) for i in range(1, n + 1)]):
+        for cherry in t.cherries():
+            for x, y in (cherry, cherry[::-1]):
+                got = {s for s in pendant_shapes(t, (x, y)) if s.proper}
+                assert got == _proper_shapes_by_definition(t, x, y), (t, x, y)
 
 
 def test_shape_requires_cherry():
