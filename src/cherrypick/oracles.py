@@ -96,9 +96,9 @@ def tbr_distance_bfs(tree, tree2, cap=None):
         if cap is not None and dist > cap:
             raise CapExceeded("TBR distance exceeds cap %d" % cap)
         nxt = {}
-        # set order, not insertion order: in insertion order the search
-        # expands more trees before it meets the target
-        for canon in set(frontier):
+        # sorted order, so the work done (never the answer: the search is
+        # level by level) does not depend on the string hash seed
+        for canon in sorted(frontier):
             for nb, nb_tree in _tbr_trees(frontier[canon]).items():
                 if nb == target:
                     return dist

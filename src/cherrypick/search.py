@@ -33,8 +33,8 @@ class _BudgetExceeded(Exception):
 @dataclass
 class SearchStats:
     """Counters of one search.  ``nodes`` counts expanded states (the node
-    budget counts these), ``applied`` the steps the search applied,
-    ``forced`` the free steps it took without branching, and
+    budget counts these), ``applied`` the cuts and drops the search
+    applied, ``forced`` the free steps it took without branching, and
     ``level_nodes[k]`` the nodes expanded while deciding whether the
     weight is at most k (the witness walk's nodes are in ``nodes`` only),
     ``memo_size`` the memo entries held when the search ended, and
@@ -133,23 +133,22 @@ def greedy_cps(F, F2):
 
 
 def _cherry_moves(F, F2):
-    """The actions of the C2 moves around the first cherry (x, y) of F:
-    every forward move of (x, y) and of (y, x), and every reversed move of
-    each cherry of F2 that contains x or y, in both orders.  Only called
-    on a state without a free step, so F has a cherry and no move is C1.
-
-    Moves that differ in label or rule can cut the same edge (C2a_i of
-    (x, y) and of (y, x) both cut e_x and e_y), so each action is listed
-    once, in the step order of its first move.
-    """
+    """The cut actions the search branches on at a state without a free
+    step, around F's first cherry (x, y) (see ``_Searcher``): e_x, then
+    e_y unless it is the same edge, in F; when x and y share a tree of F2,
+    the pendant subtrees at u_1, then u_m, of their path x, u_1..u_m, y."""
     x, y = F.cherries()[0]
-    moves = [*_pair_moves(F, F2, x, y, "forward"), *_pair_moves(F, F2, y, x, "forward")]
-    for a in (x, y):
-        for b in F2.cherry_partners(a):
-            moves.extend(_pair_moves(F2, F, a, b, "reversed"))
-            moves.extend(_pair_moves(F2, F, b, a, "reversed"))
-    moves.sort(key=lambda move: move[0].sort_key())
-    return list(dict.fromkeys(action for _, action in moves))
+    comp = F.component_index(x)
+    e_x, e_y = (F.components[comp].pendant_edge(leaf) for leaf in (x, y))
+    actions = [("cut", 0, comp, e) for e in ((e_x,) if e_x == e_y else (e_x, e_y))]
+    b_comp = F2.component_index(x)
+    if F2.component_index(y) == b_comp:
+        btree = F2.components[b_comp]
+        path = btree.path(btree.vertex_of[x], btree.vertex_of[y])
+        for i in (1, -2):
+            (w,) = btree.adj[path[i]] - {path[i - 1], path[i + 1]}
+            actions.append(("cut", 1, b_comp, tuple(sorted((path[i], w)))))
+    return actions
 
 
 class _Searcher:
@@ -175,48 +174,48 @@ class _Searcher:
     steps, not with the label count.
 
     A state without a free step has only C2 steps, all of cost one, and
-    the search branches on one cherry: the moves of ``_cherry_moves``
-    around the first cherry (x, y) of F.  Every one of them is a legal
-    step, so each child gives an upper bound; the minimum is kept because
-    some optimal sequence starts with one of them.  The argument is the
-    sibling-pair lemma for maximum agreement forests (Whidden, Beiko &
-    Zeh, "Fixed-parameter algorithms for maximum agreement forests", SIAM
-    J. Comput. 2013; Chen, Fan & Sze, "Parameterized and approximation
-    algorithms for maximum agreement forest in multifurcating trees",
-    TCS 2015), which branches on one sibling pair.  With no free step,
-    (x, y) is not a cherry of F2 and neither forest has an isolated
-    vertex.  Take an optimal sequence and follow x and y through it:
-    before the end, one of them is isolated in one forest (and dropped
-    by C3) or the two form a common cherry (and one is dropped by C1).
+    the search branches on the cuts of ``_cherry_moves`` around the first
+    cherry (x, y) of F: e_x and e_y in F and, when x and y share a tree of
+    F2, the pendant subtrees at the two ends u_1 and u_m of their path
+    there.  This is the sibling-pair lemma for maximum agreement forests
+    (Whidden, Beiko & Zeh, "Fixed-parameter algorithms for maximum
+    agreement forests", SIAM J. Comput. 2013; Chen, Fan & Sze,
+    "Parameterized and approximation algorithms for maximum agreement
+    forest in multifurcating trees", TCS 2015), which branches on one
+    sibling pair.  The value of a state is the hybrid number h(F, F2) of
+    its pair, and one plus the least child value is that number because:
 
-    * One of them is isolated first.  Its pendant edge is cut in F or in
-      F2, and the cut is traded for the one in F at the same cost: cutting
-      e_x in either forest and then dropping x leaves the same state, both
-      forests restricted to the other labels.  Cutting e_x or e_y in F is
-      a forward move of (x, y) or (y, x): C2a_i when one of them is in a
-      cherry of F2, else C2b_i or C2c, so one of the two orders has it.
-    * They become a common cherry first.  Then every subtree that hangs
-      off the x--y path of F2 is cut away on the way, as the lemma's
-      third branch cuts every pendant subtree between the pair.  Cuts in
-      different places commute, so the one next to x (or y) can go
-      first: when it is a single leaf z, (x, z) is a cherry of F2 and the
-      reversed C2a moves of that cherry cut e_z or a pendant subtree
-      beyond it; otherwise it is the C2b_ii edge at x's neighbour.
+    * The cut set contains an optimal first step.  With no free step,
+      (x, y) is not a cherry of F2 and neither forest has an isolated
+      vertex.  Take an optimal sequence and trace x and y through it:
+      either one of them becomes isolated first, or the two become a
+      common cherry first.  In the first case the cut that isolates x
+      (or y) is traded for e_x (or e_y) in F at the same cost: cutting
+      x's pendant edge in either forest and then dropping x leaves the
+      same state, both forests restricted to the other labels, and cuts
+      in different places commute, so it can go first.  In the second
+      case x and y share a tree of F2, with path x, u_1, ..., u_m, y, and
+      m >= 2 since (x, y) is not a cherry there.  An unrooted path becomes
+      a cherry once all but one of its pendant subtrees are gone, so the
+      subtree at u_1 or the one at u_m is cut, and that cut can go first.
+    * Each child is an upper bound.  A child need not be a legal step (an
+      end cut in F2 often is not), so the bound goes through networks.
+      Take a network that displays the child pair.  Add one edge between
+      the images of the cut's two sides, as ``BuildState.add_display_edge``
+      does when it undoes a cut.  The result displays the parent pair, so
+      h(F, F2) <= 1 + h(child).
 
-    The forward C2a_ii/C2a_iii moves, which cut next to the pair in F,
-    are legal moves of (x, y) as well and are kept: extra legal moves
-    cannot take the value below the minimum.  While a branch cuts only
-    in F2, F's first cherry stays (x, y), so the search keeps working on
-    the same pair until it is resolved.  The argument above is a sketch
-    in the lemma's terms, not a formal proof, so it is also checked: the
-    tests compare the search with a full-branching reference on every
-    tree pair up to five leaves and on seeded forest pairs up to eight
-    leaves, and a ``slow`` test on every pair of six-leaf trees.
+    While a branch cuts only in F2, F's first cherry stays (x, y), so the
+    search keeps working on the same pair until it is resolved.  The
+    first argument is a sketch in the lemma's terms, not a formal proof,
+    so it is also checked: the tests compare the search with a
+    full-branching reference on every tree pair up to five leaves and on
+    seeded forest pairs up to eight leaves, and ``slow`` tests on every
+    pair of six-leaf trees and on seeded nine-leaf tree pairs.
 
-    A child is built only when its cost is below the current best.  The
-    search applies the actions its own enumeration resolved, and a free
-    step is always a drop, so no step is checked twice.  Surgery builds
-    its trees unchecked (see ``trees``): they are valid by construction,
+    A child is built only when its cost is below the current best, and
+    the search applies its cuts and drops unchecked.  Surgery builds its
+    trees unchecked too (see ``trees``): they are valid by construction,
     and the replay of a trace checks each of them.
 
     The witness walk takes, at each state, the first step in the order of

@@ -10,7 +10,13 @@ from cherrypick.generate import random_forest, random_forest_pair, random_tree, 
 from cherrypick.newick import parse_forest, serialize_trace
 from cherrypick.oracles import tbr_neighbors
 from cherrypick.reductions import labels_of, validate_trace
-from cherrypick.search import greedy_cps, hybrid_number, min_weight_cps, tbr_distance
+from cherrypick.search import (
+    _cherry_moves,
+    greedy_cps,
+    hybrid_number,
+    min_weight_cps,
+    tbr_distance,
+)
 from cherrypick.trees import Forest, PhyloTree, canonical_form
 
 from util import (
@@ -230,8 +236,9 @@ def test_one_cherry_search_matches_full_branching():
         for k in (1, 2, 3):
             for _ in range(3):
                 cases.append((random_forest(labels, k, rng), random_forest(labels, k, rng)))
-    # distance-2 tree pairs that need the forward moves of the cherry in
-    # both orders: without those of (y, x), or of (x, y), the search says 3
+    # distance-2 tree pairs where the only branch that keeps the value is
+    # the F2 end cut at u_m (first pair) or at u_1 (second): without it
+    # the search says 3
     for a, b in (
         ("(((((2,6),3),5),(4,7)),1);", "((((((5,7),3),2),6),4),1);"),
         ("((((((2,7),6),3),4),5),1);", "((((2,3),6),((4,7),5)),1);"),
@@ -261,6 +268,59 @@ def test_every_six_leaf_tree_pair_matches_tbr_move_graph():
         assert len(dist) == len(trees) == 105
         for j, T2 in enumerate(trees):
             assert min_weight_cps(Forest([T]), Forest([T2])).min_weight == dist[j]
+
+
+@pytest.mark.slow
+def test_nine_leaf_tree_pairs_match_full_branching():
+    # the seeded tree suite's n = 9 pairs; the reference takes about 16 s
+    labels = [str(i) for i in range(1, 10)]
+    for i in range(5):
+        rng = seeded_rng(12345 + 9000 + i)
+        F, F2 = random_forest(labels, 1, rng), random_forest(labels, 1, rng)
+        result = min_weight_cps(F, F2)
+        reference = min_trace_full_branching(F, F2)
+        assert result.min_weight == reference.weight
+        assert serialize_trace(result.witness) == serialize_trace(reference)
+
+
+def test_branch_set_is_the_sibling_pair_cuts(monkeypatch):
+    # at every branching state: e_x and e_y in F (one action when they are
+    # the same edge), then, exactly when x and y share a tree of F2, two
+    # cuts there, at the ends u_1 and u_m of the x--y path in that order,
+    # each keeping x and y on one side
+    seen = []
+
+    def recording(F, F2):
+        actions = _cherry_moves(F, F2)
+        seen.append((F, F2, actions))
+        return actions
+
+    monkeypatch.setattr("cherrypick.search._cherry_moves", recording)
+    for n in range(6, 11):
+        labels = [str(i) for i in range(1, n + 1)]
+        rng = seeded_rng(500 + n)
+        for k in (1, 2, 3, 1, 2, 3):
+            hybrid_number(random_forest(labels, k, rng), random_forest(labels, k, rng))
+    shapes = set()
+    for F, F2, actions in seen:
+        x, y = F.cherries()[0]
+        comp = F.component_index(x)
+        tree = F.components[comp]
+        in_F = [("cut", 0, comp, e) for e in dict.fromkeys(map(tree.pendant_edge, (x, y)))]
+        assert actions[: len(in_F)] == in_F
+        in_F2 = actions[len(in_F):]
+        shapes.add((len(in_F), len(in_F2)))
+        if F2.component_index(x) != F2.component_index(y):
+            assert in_F2 == []
+            continue
+        b_comp = F2.component_index(x)
+        btree = F2.components[b_comp]
+        path = btree.path(btree.vertex_of[x], btree.vertex_of[y])
+        assert len(in_F2) == 2
+        for (_, side, idx, edge), end in zip(in_F2, (path[1], path[-2])):
+            assert (side, idx) == (1, b_comp) and btree.has_edge(*edge)
+            assert end in edge and {x, y} <= btree.side_leaves(edge, end)
+    assert shapes == {(1, 0), (1, 2), (2, 0), (2, 2)}
 
 
 def test_search_stats_counters():
