@@ -354,6 +354,43 @@ def test_forest_ignores_component_order():
         assert serialize_forest(g) == serialize_forest(f)
 
 
+def test_forest_rejects_a_label_in_two_components():
+    # the parser rejects duplicates first, so build the trees one by one;
+    # "7" (components 1 and 2) is named before "5" (components 0 and 3)
+    comps = [tree("(5,6);"), tree("(7,8);"), tree("(9,7);"), tree("(1,5);")]
+    with pytest.raises(DuplicateLabel, match=r"^label '7' in two components$"):
+        Forest(comps)
+    with pytest.raises(DuplicateLabel, match=r"^label '3' in two components$"):
+        Forest([tree("((1,2),(3,4));"), tree("3;")])
+
+
+def test_forest_lookups_of_a_missing_label():
+    f = parse_forest("((1,2),(3,4));\n5;")
+    with pytest.raises(UnknownLabel, match=r"^no leaf '9' in this forest$"):
+        f.component_index("9")
+    assert f.cherry_partners("9") == []
+    assert not f.has_cherry(("9", "1"))
+
+
+def test_forest_lookups_find_the_tree_holding_each_label():
+    rng = seeded_rng(2525)
+    for k in range(1, 13):
+        for _ in range(4):
+            labels = [str(i) for i in range(1, rng.randint(k, 16) + 1)]
+            f = random_forest(labels, k, rng)
+            assert len(f.components) == k
+            assert f.ground_set == frozenset(labels)
+            for lab in labels:
+                i = f.component_index(lab)
+                t = f.components[i]
+                assert lab in t.vertex_of
+                assert f.is_singleton(lab) == (t.num_vertices == 1)
+                want = sorted(
+                    b if a == lab else a for a, b in t.cherries() if lab in (a, b)
+                )
+                assert f.cherry_partners(lab) == want
+
+
 def test_canonical_equal_iff_isomorphic():
     # rebuilding a tree with shuffled vertex ids leaves the canonical form alone
     rng = seeded_rng(31)
