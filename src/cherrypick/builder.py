@@ -57,9 +57,6 @@ class BuildState:
             self.adj[v].add(u)
             self.edge_count += 1
 
-    def num_edges(self):
-        return self.edge_count
-
     def reticulation(self):
         return self.edge_count - len(self.adj) + 1
 

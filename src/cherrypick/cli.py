@@ -20,7 +20,6 @@ from .errors import (
     CapExceeded,
     CherryPickError,
     GroundSetMismatch,
-    LabelMismatch,
     ParseError,
     ScaleGuard,
 )
@@ -285,7 +284,7 @@ def main(argv=None):
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (GroundSetMismatch, LabelMismatch) as exc:
+    except GroundSetMismatch as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except (CapExceeded, ScaleGuard) as exc:

@@ -121,10 +121,6 @@ class BadTerminal(InvalidTrace):
 # ---------------------------------------------------------------------------
 # oracles
 
-class LabelMismatch(CherryPickError):
-    pass
-
-
 class CapExceeded(CherryPickError):
     pass
 

@@ -15,7 +15,7 @@ tbr`` command runs the exact solver, not this BFS.
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CapExceeded, LabelMismatch, ScaleGuard, TooSmall
+from .errors import GroundSetMismatch, ScaleGuard, TooSmall
 from .trees import PhyloTree, restrict, _edge
 
 
@@ -79,12 +79,13 @@ def tbr_neighbors(tree):
     return set(_tbr_trees(tree)) - {tree.canonical}
 
 
-def tbr_distance_bfs(tree, tree2, cap=None):
+def tbr_distance_bfs(tree, tree2):
     """Exact BFS distance in the TBR move graph; zero exactly for
-    label-isomorphic trees.  Raises CapExceeded when the distance would
-    exceed ``cap``."""
+    label-isomorphic trees.  Raises GroundSetMismatch when the trees are
+    on different label sets; the search has no cap, so keep the trees at
+    desk scale."""
     if tree.leaf_labels != tree2.leaf_labels:
-        raise LabelMismatch("trees are on different label sets")
+        raise GroundSetMismatch("trees are on different label sets")
     target = tree2.canonical
     if tree.canonical == target:
         return 0
@@ -93,8 +94,6 @@ def tbr_distance_bfs(tree, tree2, cap=None):
     dist = 0
     while frontier:
         dist += 1
-        if cap is not None and dist > cap:
-            raise CapExceeded("TBR distance exceeds cap %d" % cap)
         nxt = {}
         # sorted order, so the work done (never the answer: the search is
         # level by level) does not depend on the string hash seed
@@ -106,11 +105,13 @@ def tbr_distance_bfs(tree, tree2, cap=None):
                     visited.add(nb)
                     nxt[nb] = nb_tree
         frontier = nxt
-    raise LabelMismatch("move graph exhausted without reaching the target")
+    raise GroundSetMismatch("move graph exhausted without reaching the target")
 
 
 # ---------------------------------------------------------------------------
 # display checking
+
+DISPLAY_MAX_VERTICES = 40
 
 
 @dataclass(frozen=True)
@@ -237,20 +238,22 @@ def _embed_tree(network, tree, used):
     used.discard(net_anchor)
 
 
-def displays(network, forest, max_vertices=40):
+def displays(network, forest):
     """A witness embedding if the network displays the forest (vertex
     disjoint subdivision images, leaf x mapped to leaf x), else None.
 
-    Exhaustive backtracking guarded to desk scale.
+    Exhaustive backtracking guarded to desk scale: a network above
+    ``DISPLAY_MAX_VERTICES`` (40) vertices raises ScaleGuard, and forest
+    labels missing from the network raise GroundSetMismatch.
     """
-    if network.num_vertices > max_vertices:
+    if network.num_vertices > DISPLAY_MAX_VERTICES:
         raise ScaleGuard(
             "display check limited to %d vertices (got %d)"
-            % (max_vertices, network.num_vertices)
+            % (DISPLAY_MAX_VERTICES, network.num_vertices)
         )
     missing = forest.ground_set - network.leaf_labels
     if missing:
-        raise LabelMismatch("forest labels not in network: %s" % sorted(missing))
+        raise GroundSetMismatch("forest labels not in network: %s" % sorted(missing))
 
     comps = sorted(
         range(len(forest.components)),

@@ -515,21 +515,26 @@ class Forest:
     """A set of trees with pairwise disjoint leaf-label sets.
 
     Components are kept in the order given; the canonical form sorts
-    them, so equal forests print identically whatever the order.
+    them, so equal forests print identically whatever the order.  The
+    trees are the only record of where a label lives: a lookup asks each
+    component in turn.
     """
 
-    __slots__ = ("components", "ground_set", "_canon", "_home")
+    __slots__ = ("components", "ground_set", "_canon")
 
     def __init__(self, components):
         self.components = tuple(components)
-        self._home = {}
         self._canon = None
-        for i, t in enumerate(self.components):
-            for lab in t.vertex_of:
-                if lab in self._home:
-                    raise DuplicateLabel("label %r in two components" % (lab,))
-                self._home[lab] = i
-        self.ground_set = frozenset(self._home)
+        indexes = [t.vertex_of for t in self.components]
+        self.ground_set = frozenset().union(*indexes)
+        if len(self.ground_set) != sum(map(len, indexes)):
+            # some label is shared: walk the components to name the first one
+            seen = set()
+            for t in self.components:
+                for lab in t.vertex_of:
+                    if lab in seen:
+                        raise DuplicateLabel("label %r in two components" % (lab,))
+                    seen.add(lab)
 
     @property
     def canonical(self):
@@ -546,19 +551,15 @@ class Forest:
     def __hash__(self):
         return hash(self.canonical)
 
-    def component_of(self, label):
-        if label not in self._home:
-            raise UnknownLabel("no leaf %r in this forest" % (label,))
-        return self.components[self._home[label]]
-
     def component_index(self, label):
-        if label not in self._home:
-            raise UnknownLabel("no leaf %r in this forest" % (label,))
-        return self._home[label]
+        for i, t in enumerate(self.components):
+            if label in t.vertex_of:
+                return i
+        raise UnknownLabel("no leaf %r in this forest" % (label,))
 
     def is_singleton(self, label):
         """True when `label` is an isolated vertex (its own component)."""
-        return self.component_of(label).num_vertices == 1
+        return self.components[self.component_index(label)].num_vertices == 1
 
     def cherries(self):
         out = []
@@ -573,9 +574,9 @@ class Forest:
 
     def cherry_partners(self, label):
         """Labels forming a cherry with `label`, sorted."""
-        if label not in self._home:
+        if label not in self.ground_set:
             return []
-        t = self.component_of(label)
+        t = self.components[self.component_index(label)]
         if t.num_vertices == 1:
             return []
         if t.num_vertices == 2:

@@ -305,7 +305,7 @@ def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
     verify = BuildState.verify_images
 
     def spy(self, pair):
-        assert self.num_edges() == sum(len(ns) for ns in self.adj.values()) // 2
+        assert self.edge_count == sum(len(ns) for ns in self.adj.values()) // 2
         checked.append(1)
         verify(self, pair)
 

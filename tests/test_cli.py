@@ -1,17 +1,28 @@
 """Command-line behaviour and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cherrypick.builder import build_network
 from cherrypick.cli import PAIR_SEPARATOR, main
-from cherrypick.generate import random_forest, seeded_rng
-from cherrypick.newick import parse_forest, parse_network, serialize_forest, serialize_network
+from cherrypick.generate import random_forest, random_forest_pair, seeded_rng
+from cherrypick.newick import (
+    parse_forest,
+    parse_network,
+    serialize_forest,
+    serialize_network,
+    serialize_trace,
+)
 from cherrypick.oracles import displays, tbr_distance_bfs
 from cherrypick.networks import network_from_tree, reticulation_number
+from cherrypick.search import min_weight_cps
 from cherrypick.trees import Forest
 
 QUARTET_A = "((1,2),(3,4));\n"
@@ -484,3 +495,133 @@ def test_tbr_cap_zero_expands_only_level_zero(files, capsys, monkeypatch):
     code, out, err = run_main(["tbr", "--tree1", a, "--tree2", b, "--cap", "0"], capsys)
     assert (code, out, err) == (4, "", "error: TBR distance exceeds cap 0\n")
     assert cutoffs and max(cutoffs) == 1
+
+
+# ---------------------------------------------------------------------------
+# whole command lines
+
+
+def _documents(seed, n, components):
+    """A seeded forest pair, its witness trace and network, and a forest
+    on other labels, as the text the commands read."""
+    rng = seeded_rng(seed)
+    labels = [str(i) for i in range(1, n + 1)]
+    F, F2 = random_forest_pair(labels, components, rng)
+    witness = min_weight_cps(F, F2).witness
+    return {
+        "forest1": serialize_forest(F),
+        "forest2": serialize_forest(F2),
+        "trace": serialize_trace(witness),
+        "network": serialize_network(build_network(F, F2, witness)),
+        "other": serialize_forest(random_forest(labels[1:] + ["x"], 1, rng)),
+    }
+
+
+@st.composite
+def _corrupted(draw, text):
+    """The text, or the text with one fault: cut, a character changed or
+    dropped, a line dropped, emptied, or not UTF-8."""
+    fault = draw(st.sampled_from([None, "cut", "change", "drop", "line", "empty", "bytes"]))
+    at = draw(st.integers(0, max(len(text) - 1, 0)))
+    if fault == "cut":
+        return text[:at]
+    if fault == "change":
+        return text[:at] + draw(st.sampled_from("();,:#-x1 \n{}[]\"")) + text[at + 1:]
+    if fault == "drop":
+        return text[:at] + text[at + 1:]
+    if fault == "line":
+        lines = text.splitlines(keepends=True)
+        del lines[at % len(lines)]
+        return "".join(lines)
+    if fault == "empty":
+        return ""
+    if fault == "bytes":
+        return b"\xff\xfe" + text.encode()
+    return text
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv with {name} placeholders for paths, the input file names,
+    the documents by input file name; an input without one is missing)."""
+    n = draw(st.integers(1, 6))
+    docs = _documents(draw(st.integers(0, 10_000)), n, draw(st.integers(1, min(n, 3))))
+    files = {}
+    inputs = []
+    faulty = draw(st.booleans())  # else every input is the document it should be
+
+    def doc(kind):
+        inputs.append("in%d" % len(inputs))
+        if faulty:
+            kind = draw(st.sampled_from([kind, "missing"] + sorted(docs)))
+        if kind != "missing":
+            files[inputs[-1]] = draw(_corrupted(docs[kind])) if faulty else docs[kind]
+        return "{%s}" % inputs[-1]
+
+    def out():
+        return draw(st.sampled_from(["{out}", "{out2}", "{dir}", "{nodir}"]))
+
+    def count():
+        return str(draw(st.integers(-1, 6)))
+
+    commands = ["hybrid", "tbr", "validate-trace", "build-network", "displays", "gen"]
+    command = draw(st.sampled_from(commands))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    if command in ("hybrid", "validate-trace", "build-network"):
+        argv += ["--forest1", doc("forest1"), "--forest2", doc("forest2")]
+    if command in ("validate-trace", "build-network"):
+        argv += ["--trace", doc("trace")]
+    if command == "build-network":
+        argv += ["--out", out()]
+    if command == "hybrid":
+        for flag in ("--budget", "--trace-out", "--network-out"):
+            if draw(st.booleans()):
+                argv += [flag, count() if flag == "--budget" else out()]
+    if command == "tbr":
+        argv += ["--tree1", doc("forest1"), "--tree2", doc("forest2")]
+        if draw(st.booleans()):
+            argv += ["--cap", count()]
+    if command == "displays":
+        argv += ["--network", doc("network"), "--forest", doc("forest1")]
+    if command == "gen":
+        argv += ["--leaves", count(), "--seed", count()]
+        if draw(st.booleans()):
+            argv += ["--components", count()]
+        if draw(st.booleans()):
+            argv.append("--pair")
+    return argv, inputs, files
+
+
+# every example rewrites the files it reads, so sharing tmp_path is safe
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_command_lines())
+def test_whole_command_lines_end_in_a_documented_exit_code(tmp_path, case):
+    argv, inputs, files = case
+    paths = {
+        "out": str(tmp_path / "out"),
+        "out2": str(tmp_path / "out2"),
+        "dir": str(tmp_path),
+        "nodir": str(tmp_path / "no such dir" / "out"),
+    }
+    for name in inputs:
+        path = tmp_path / name
+        paths[name] = str(path)
+        text = files.get(name)
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = [arg.format(**paths) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()

@@ -6,11 +6,11 @@ import pathlib
 import pytest
 
 import cherrypick.oracles
-from cherrypick.errors import CapExceeded, LabelMismatch, ScaleGuard, TooSmall
+from cherrypick.errors import GroundSetMismatch, ScaleGuard, TooSmall
 from cherrypick.generate import random_tree, seeded_rng
 from cherrypick.networks import network_from_tree
 from cherrypick.newick import parse_forest, parse_network, parse_tree
-from cherrypick.oracles import displays, tbr_distance_bfs, tbr_neighbors
+from cherrypick.oracles import DISPLAY_MAX_VERTICES, displays, tbr_distance_bfs, tbr_neighbors
 from cherrypick.trees import Forest, remove_edge_traced
 
 from util import all_topologies
@@ -111,16 +111,8 @@ def test_bfs_distance_symmetric_on_five_leaves():
 
 
 def test_bfs_distance_label_mismatch():
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(GroundSetMismatch, match="trees are on different label sets"):
         tbr_distance_bfs(parse_tree("((1,2),(3,4));"), parse_tree("((1,2),(3,5));"))
-
-
-def test_bfs_distance_cap():
-    a = parse_tree("((1,2),(3,4));")
-    b = parse_tree("((1,3),(2,4));")
-    with pytest.raises(CapExceeded):
-        tbr_distance_bfs(a, b, cap=0)
-    assert tbr_distance_bfs(a, b, cap=1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +173,19 @@ def test_displays_monotone_under_edge_deletion():
 
 def test_displays_label_mismatch():
     n = parse_network(FOUR_CYCLE)
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(GroundSetMismatch, match=r"forest labels not in network: \['9'\]"):
         displays(n, parse_forest("(1,9);"))
 
 
 def test_displays_scale_guard():
-    n = parse_network(FOUR_CYCLE)
-    with pytest.raises(ScaleGuard):
-        displays(n, parse_forest("(1,2);"), max_vertices=4)
+    rng = seeded_rng(1717)
+    # a tree on n leaves is a network on 2n - 2 vertices
+    at_guard = network_from_tree(random_tree([str(i) for i in range(1, 22)], rng))
+    assert at_guard.num_vertices == DISPLAY_MAX_VERTICES
+    assert displays(at_guard, parse_forest("(1,2);")) is not None
+    above = network_from_tree(random_tree([str(i) for i in range(1, 23)], rng))
+    with pytest.raises(ScaleGuard, match=r"^display check limited to 40 vertices \(got 42\)$"):
+        displays(above, parse_forest("(1,2);"))
 
 
 def test_displays_on_multiedge_pseudo_network():
