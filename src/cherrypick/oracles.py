@@ -145,10 +145,11 @@ class EmbeddingImage:
     images: tuple
 
 
-def _embed_tree(network, tree, used):
+def _embed_tree(network, neighbors, tree, used):
     """Yield ComponentImages of `tree` inside `network` avoiding `used`
     vertices; `used` is extended while a candidate is yielded and restored
-    on backtracking."""
+    on backtracking.  `neighbors` maps each network vertex to its sorted
+    distinct neighbours."""
     if tree.num_vertices == 1:
         label = next(iter(tree.labels.values()))
         v = network.vertex_of[label]
@@ -188,7 +189,7 @@ def _embed_tree(network, tree, used):
         on_path = {start}
 
         def walk(v):
-            for w in network.simple_neighbors(v):
+            for w in neighbors[v]:
                 if w in on_path or w in used:
                     continue
                 if target is not None:
@@ -205,7 +206,12 @@ def _embed_tree(network, tree, used):
                         continue
                     path.append(w)
                     on_path.add(w)
-                    yield path + []
+                    # the internal tree vertex ending here still has two
+                    # edges to place from w, each through its own unused
+                    # neighbour; with fewer, no embedding ends this way
+                    free = [x for x in neighbors[w] if x not in on_path and x not in used]
+                    if len(free) >= 2:
+                        yield path + []
                     yield from walk(w)
                     on_path.discard(w)
                     path.pop()
@@ -259,6 +265,7 @@ def displays(network, forest):
         range(len(forest.components)),
         key=lambda i: -forest.components[i].num_vertices,
     )
+    neighbors = {v: network.simple_neighbors(v) for v in network.adj}
     used = set()
     found = {}
 
@@ -266,7 +273,7 @@ def displays(network, forest):
         if k == len(comps):
             return True
         idx = comps[k]
-        for image in _embed_tree(network, forest.components[idx], used):
+        for image in _embed_tree(network, neighbors, forest.components[idx], used):
             found[idx] = image
             if place(k + 1):
                 return True

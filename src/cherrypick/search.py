@@ -80,10 +80,11 @@ class SearchResult:
 # greedy existence construction
 
 
-def _free_step(F, F2):
+def _free_step(F, F2, cherries):
     """The first legal C1 step, else the first legal C3 step, in the order
-    of ``applicable_steps``; None when no free step exists."""
-    for a, b in F.cherries():
+    of ``applicable_steps``; None when no free step exists.  `cherries` is
+    ``F.cherries()``, which the caller keeps for its own use."""
+    for a, b in cherries:
         if F2.has_cherry((a, b)):
             return ReductionStep(a, "C1", "forward", y=b)
     singles = [
@@ -102,12 +103,13 @@ def _greedy_pick(F, F2):
     """Choose the next step(s) following the existence argument: take the
     first free C1/C3 step, otherwise cut the pendant edge of a leaf of the
     first cherry and then drop that leaf, giving the (x, x, ...) pattern."""
-    free = _free_step(F, F2)
+    cherries = F.cherries()
+    free = _free_step(F, F2, cherries)
     if free is not None:
         return [free]
     # F has no isolated vertex, so it has a cherry; with no free step, one
     # of its orderings has C2 moves, and the first of them cuts e_x
-    x, y = F.cherries()[0]
+    x, y = cherries[0]
     cut, _ = next(chain(_pair_moves(F, F2, x, y, "forward"), _pair_moves(F, F2, y, x, "forward")))
     return [cut, ReductionStep(cut.label, "C3", "forward")]
 
@@ -132,12 +134,12 @@ def greedy_cps(F, F2):
 # exact search
 
 
-def _cherry_moves(F, F2):
+def _cherry_moves(F, F2, cherry):
     """The cut actions the search branches on at a state without a free
     step, around F's first cherry (x, y) (see ``_Searcher``): e_x, then
     e_y unless it is the same edge, in F; when x and y share a tree of F2,
     the pendant subtrees at u_1, then u_m, of their path x, u_1..u_m, y."""
-    x, y = F.cherries()[0]
+    x, y = cherry
     comp = F.component_index(x)
     e_x, e_y = (F.components[comp].pendant_edge(leaf) for leaf in (x, y))
     actions = [("cut", 0, comp, e) for e in ((e_x,) if e_x == e_y else (e_x, e_y))]
@@ -281,9 +283,10 @@ class _Searcher:
             if self.budget is not None and self.stats.nodes > self.budget:
                 raise _BudgetExceeded
             chain.append(key)
-            step = _free_step(F, F2)
+            cherries = F.cherries()
+            step = _free_step(F, F2, cherries)
             if step is None:
-                best = self._branch(F, F2, cutoff)
+                best = self._branch(F, F2, cutoff, cherries[0])
                 break
             self.stats.forced += 1
             self.stats.applied += 1
@@ -293,12 +296,13 @@ class _Searcher:
             self._store(key, best, exact)
         return best
 
-    def _branch(self, F, F2, cutoff):
-        """min(value, cutoff) of a state whose steps all cost one."""
+    def _branch(self, F, F2, cutoff, cherry):
+        """min(value, cutoff) of a state whose steps all cost one, around
+        F's first cherry."""
         best = cutoff
         if best <= 1:
             return best
-        for action in _cherry_moves(F, F2):
+        for action in _cherry_moves(F, F2, cherry):
             nF, nF2, _ = apply_action(F, F2, action)
             self.stats.applied += 1
             best = min(best, 1 + self.residual(nF, nF2, best - 1))
@@ -313,7 +317,7 @@ class _Searcher:
         steps = []
         cur_F, cur_F2, need = F, F2, weight
         while len(cur_F.ground_set) > 1:
-            step = _free_step(cur_F, cur_F2)
+            step = _free_step(cur_F, cur_F2, cur_F.cherries())
             if step is not None and (step.rule == "C1" or need == 0):
                 cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, ("drop", step.label))
                 steps.append(step)

@@ -375,21 +375,43 @@ def tree_remove_edge(tree, edge):
             n1, n2 = sorted(adj.pop(z))
             _join(adj, n1, n2, z)
             effects.append(EndpointEffect(z, "suppressed", merged_edge=(n1, n2)))
-    # walk side a; side b is what is left of the adjacency and the labels
-    order = _reach(adj, a if effects[0].kind == "leaf" else effects[0].merged_edge[0])
-    adj_a = {v: adj.pop(v) for v in order}
+    # walk the smaller side; the larger one is what is left of the
+    # adjacency and the labels
+    roots = [z if eff.kind == "leaf" else eff.merged_edge[0] for z, eff in zip((a, b), effects)]
+    small, order = _smaller_side(adj, *roots)
+    adj_s = {v: adj.pop(v) for v in order}
     labels, vertex_of = dict(tree.labels), dict(tree.vertex_of)
-    labels_a, vertex_of_a = {}, {}
+    labels_s, vertex_of_s = {}, {}
     for v in order:
         lab = labels.pop(v, None)
         if lab is not None:
-            labels_a[v] = lab
-            vertex_of_a[lab] = vertex_of.pop(lab)
-    comps = (
-        PhyloTree._trusted(adj_a, labels_a, vertex_of_a),
+            labels_s[v] = lab
+            vertex_of_s[lab] = vertex_of.pop(lab)
+    comps = [
+        PhyloTree._trusted(adj_s, labels_s, vertex_of_s),
         PhyloTree._trusted(adj, labels, vertex_of),
-    )
-    return comps, EdgeRemoval(_edge(a, b), tuple(effects))
+    ]
+    if small == 1:
+        comps.reverse()
+    return tuple(comps), EdgeRemoval(_edge(a, b), tuple(effects))
+
+
+def _smaller_side(adj, root_a, root_b):
+    """Which of the two trees of `adj` holding `root_a` and `root_b` is
+    the smaller (0 or 1; 0 on a tie) and its vertices in breadth-first
+    order, by walking both in lockstep until one is exhausted."""
+    orders = ([root_a], [root_b])
+    seen = {root_a, root_b}
+    i = 0
+    while True:
+        for side, order in enumerate(orders):
+            if i == len(order):
+                return side, order
+            for w in adj[order[i]]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        i += 1
 
 
 def restrict(tree, keep):

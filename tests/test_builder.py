@@ -1,8 +1,11 @@
 """Reverse-replay network construction with image tracking."""
 
+import dataclasses
+
 import pytest
 
-from cherrypick.builder import BuildState, _ids_apart, build_network
+from cherrypick import builder
+from cherrypick.builder import BuildState, _ids_apart, _Seen, build_network
 from cherrypick.errors import GroundSetMismatch, ImageTrackingError, InvalidTrace
 from cherrypick.generate import random_forest_pair, random_tree, seeded_rng
 from cherrypick.networks import network_from_tree, reticulation_number
@@ -16,9 +19,9 @@ from cherrypick.reductions import (
     validate_trace,
 )
 from cherrypick.search import greedy_cps, min_weight_cps
-from cherrypick.trees import Forest, PhyloTree
+from cherrypick.trees import Forest, PhyloTree, _edge
 
-from util import networks_isomorphic
+from util import networks_isomorphic, verify_images_in_full
 
 
 def test_weight_zero_trace_builds_the_tree_back():
@@ -112,7 +115,7 @@ def test_internal_edge_cut_undo(f1, f2, step, monkeypatch):
 
     peek = BuildState.peek_path
     monkeypatch.setattr(
-        BuildState, "peek_path", lambda self, side, a, b: peek(self, side, a, b) + ["shared"]
+        BuildState, "peek_path", lambda self, side, a, b: peek(self, side, a, b) + ("shared",)
     )
     with pytest.raises(ImageTrackingError, match="images of the split components overlap"):
         build_network(F, F2, trace)
@@ -231,10 +234,10 @@ def _final_build_state(monkeypatch):
 def test_verify_rejects_a_vertex_dropped_from_a_path(monkeypatch):
     state, pair = _final_build_state(monkeypatch)
     for paths in state.epath:
-        for path in paths.values():
+        for key, path in paths.items():
             for i in range(1, len(path) - 1):
                 if path[i + 1] not in state.adj[path[i - 1]]:
-                    del path[i]
+                    paths[key] = path[:i] + path[i + 1 :]
                     with pytest.raises(ImageTrackingError, match="leaves the network"):
                         state.verify_images(pair)
                     return
@@ -264,6 +267,35 @@ def test_verify_rejects_a_leaf_mapped_to_the_wrong_vertex(monkeypatch):
     state.vertex_of["1"], state.vertex_of["2"] = state.vertex_of["2"], state.vertex_of["1"]
     with pytest.raises(ImageTrackingError, match="mapped to the wrong vertex"):
         state.verify_images(pair)
+
+
+def test_verify_rejects_a_path_through_another_components_leaf(monkeypatch):
+    # reroute an image of the large component through the network leaf of
+    # the singleton, over two new network edges: every path is still a
+    # walk with the right ends, and only disjointness is broken
+    state, pair = _final_build_state(monkeypatch)
+    (single,) = [t for t in pair[0].components if t.num_vertices == 1]
+    leaf = state.vertex_of[next(iter(single.vertex_of))]
+    key, path = next((k, p) for k, p in sorted(state.epath[0].items()) if leaf not in p)
+    for end in (path[0], path[-1]):
+        state.adj[end] = state.adj[end] | {leaf}
+        state.adj[leaf] = state.adj[leaf] | {end}
+    state.epath[0][key] = (path[0], leaf, path[-1])
+    with pytest.raises(ImageTrackingError, match="share vertices"):
+        state.verify_images(pair)
+
+
+def test_verify_rejects_leaves_that_swapped_labels(monkeypatch):
+    # the forest changes while every tree vertex keeps its adjacency
+    state, pair = _final_build_state(monkeypatch)
+    F, F2 = pair
+    i = F.component_index("1")
+    tree = F.components[i]
+    a, b = tree.vertex_of["1"], tree.vertex_of["2"]
+    labels = {**tree.labels, a: "2", b: "1"}
+    swapped = PhyloTree._trusted(tree.adj, labels, {lab: v for v, lab in labels.items()})
+    with pytest.raises(ImageTrackingError, match="mapped to the wrong vertex"):
+        state.verify_images((F.replace_component(i, [swapped]), F2))
 
 
 def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):
@@ -300,6 +332,35 @@ def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):
         build_network(F, F2, trace, verify=True)
 
 
+NEGATIVE_CASES = [
+    test_verify_rejects_a_vertex_dropped_from_a_path,
+    test_verify_rejects_an_unmapped_tree_vertex,
+    test_verify_rejects_overlapping_component_images,
+    test_verify_rejects_a_leaf_mapped_to_the_wrong_vertex,
+    test_verify_rejects_a_path_through_another_components_leaf,
+    test_verify_rejects_leaves_that_swapped_labels,
+    test_verify_catches_a_path_the_edge_index_lost,
+]
+
+
+def test_a_split_component_is_not_a_growth():
+    # the incremental check relies on forests only growing between calls:
+    # a forest that splits an accepted component, even one that keeps
+    # every vertex, must send the check back to the whole pass
+    seen = _Seen()
+    assert seen._grow(Forest([PhyloTree({0: {1}, 1: {0}}, {0: "a", 1: "b"})])) is not None
+    split = Forest([PhyloTree({0: set()}, {0: "a"}), PhyloTree({1: set()}, {1: "b"})])
+    assert seen._grow(split) is None
+
+
+@pytest.mark.parametrize("case", NEGATIVE_CASES, ids=lambda case: case.__name__[len("test_verify_") :])
+def test_incremental_check_rejects_the_same_corruptions(case, monkeypatch):
+    # these networks are small enough for the whole check; run each case
+    # again with the incremental check from the first step on
+    monkeypatch.setattr(builder, "FULL_CHECK_BELOW", 0)
+    case(monkeypatch)
+
+
 def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
     checked = []
     verify = BuildState.verify_images
@@ -319,3 +380,194 @@ def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
         before = len(checked)
         build_network(F, F2, trace, verify=True)
         assert len(checked) - before == len(trace.steps)
+
+
+# -- the incremental check against the whole pass ----------------------------
+
+
+def _corrupt(state, rng):
+    """Apply one corruption, drawn by `rng`, to the image maps or the
+    network of a build in progress, writing through the maps as any
+    caller would; returns its name."""
+    side = rng.randrange(2)
+    vmap, epath, adj = state.vmap[side], state.epath[side], state.adj
+    kind = rng.choice(
+        ["drop", "replace", "reverse", "unmap", "retarget", "cut", "swap", "forget"]
+    )
+    vertices = sorted(adj)
+    keys = sorted(epath)
+    if kind in ("drop", "replace", "reverse", "forget") and keys:
+        key = rng.choice(keys)
+        path = epath[key]
+        i = rng.randrange(len(path))
+        if kind == "drop" and len(path) > 2:
+            i = rng.randrange(1, len(path) - 1)
+            epath[key] = path[:i] + path[i + 1 :]
+        elif kind == "replace":
+            epath[key] = path[:i] + (rng.choice(vertices),) + path[i + 1 :]
+        elif kind == "reverse":
+            epath[key] = path[::-1]
+        elif kind == "forget":
+            del epath[key]
+    elif kind in ("unmap", "retarget") and vmap:
+        t = rng.choice(sorted(vmap))
+        if kind == "unmap":
+            del vmap[t]
+        else:
+            vmap[t] = rng.choice(vertices)
+    elif kind == "cut":
+        edges = state.edges()
+        if edges:
+            u, v = rng.choice(sorted(edges))
+            adj[u] = adj[u] - {v}
+            adj[v] = adj[v] - {u}
+    elif kind == "swap" and len(state.vertex_of) > 1:
+        a, b = rng.sample(sorted(state.vertex_of), 2)
+        state.vertex_of[a], state.vertex_of[b] = state.vertex_of[b], state.vertex_of[a]
+    return kind
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (ImageTrackingError, LookupError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _side_by_side(F, F2, trace, rng, monkeypatch):
+    """Build with the whole reference pass beside ``verify_images`` at
+    every step, after one corruption at one random step; a failed check
+    does not stop the build, so the checks after it are compared too.
+    Returns the (reference, check) outcomes of every call."""
+    verify = BuildState.verify_images
+    when = rng.randrange(len(trace.steps))
+    outcomes = []
+
+    def both(state, pair):
+        if len(outcomes) == when:
+            _corrupt(state, rng)
+        outcomes.append((_outcome(verify_images_in_full, state, pair), _outcome(verify, state, pair)))
+
+    with monkeypatch.context() as m:
+        m.setattr(BuildState, "verify_images", both)
+        try:
+            build_network(F, F2, trace)
+        except (ImageTrackingError, LookupError, ValueError):
+            pass  # a corrupted build may fail in the builder itself
+    return outcomes
+
+
+def _differential_builds(count, seed, monkeypatch):
+    rng = seeded_rng(seed)
+    calls = []
+    for i in range(count):
+        # the whole check below its size, the incremental one from the
+        # first step on, or a switch from the one to the other mid-build
+        monkeypatch.setattr(builder, "FULL_CHECK_BELOW", rng.choice([0, 0, 12, 64]))
+        n = rng.randint(4, 30)
+        labels = [str(j) for j in range(1, n + 1)]
+        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+        if n <= 8 and i % 2:
+            trace = min_weight_cps(F, F2).witness
+        else:
+            trace = greedy_cps(F, F2)
+        if trace.steps:
+            calls += _side_by_side(F, F2, trace, rng, monkeypatch)
+    return calls
+
+
+def test_incremental_check_raises_exactly_when_the_whole_pass_does(monkeypatch):
+    calls = _differential_builds(300, 2525, monkeypatch)
+    assert [ref for ref, _ in calls] == [new for _, new in calls]
+    raised = sum(ref is not None for ref, _ in calls)
+    assert raised > 100 and len(calls) - raised > 3000
+
+
+@pytest.mark.slow
+def test_incremental_check_raises_exactly_when_the_whole_pass_does_at_scale(monkeypatch):
+    calls = _differential_builds(1500, 2626, monkeypatch)
+    assert [ref for ref, _ in calls] == [new for _, new in calls]
+
+
+def _subdivide_one_side(real):
+    def subdivide(self, u, v):
+        self.owner[1].pop(_edge(u, v), None)
+        return real(self, u, v)
+
+    return subdivide
+
+
+def _split_to_the_wrong_vertex(real):
+    def split(self, side, merged, suppressed, w):
+        real(self, side, merged, suppressed, w)
+        self.vmap[side][suppressed] = self.vmap[side][merged[0]]
+
+    return split
+
+
+def _set_path_unreversed(real):
+    def set_path(self, side, a, b, path):
+        return real(self, side, a, b, tuple(path)[::-1] if b < a else path)
+
+    return set_path
+
+
+def _c1_on_the_wrong_leaf(real):
+    def attach_leaf(self, step, rec_l, rec_r):
+        if step.rule == "C1":
+            others = sorted(set(self.vertex_of) - {step.y})
+            if others:
+                step = dataclasses.replace(step, y=others[0])
+        return real(self, step, rec_l, rec_r)
+
+    return attach_leaf
+
+
+def _owner_entry_dropped(real):
+    def own(self, side, key, network_edges):
+        network_edges = list(network_edges)
+        real(self, side, key, network_edges)
+        if len(network_edges) > 1:
+            del self.owner[side][_edge(*network_edges[-1])]
+
+    return own
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "method, mutant",
+    [
+        ("subdivide", _subdivide_one_side),
+        ("_split_merged", _split_to_the_wrong_vertex),
+        ("set_path", _set_path_unreversed),
+        ("attach_leaf", _c1_on_the_wrong_leaf),
+        ("_own", _owner_entry_dropped),
+    ],
+)
+def test_incremental_check_rejects_what_the_whole_pass_rejects_under_mutants(
+    method, mutant, monkeypatch
+):
+    monkeypatch.setattr(BuildState, method, mutant(getattr(BuildState, method)))
+    rng = seeded_rng(2727)
+    verify = BuildState.verify_images
+    rejected = 0
+    for _ in range(150):
+        monkeypatch.setattr(builder, "FULL_CHECK_BELOW", rng.choice([0, 12, 64]))
+        n = rng.randint(4, 30)
+        labels = [str(j) for j in range(1, n + 1)]
+        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+        calls = []
+
+        def both(state, pair):
+            calls.append((_outcome(verify_images_in_full, state, pair), _outcome(verify, state, pair)))
+
+        with monkeypatch.context() as m:
+            m.setattr(BuildState, "verify_images", both)
+            try:
+                build_network(F, F2, greedy_cps(F, F2))
+            except (ImageTrackingError, LookupError, ValueError):
+                pass  # the builder's own checks caught the mutant
+        assert [ref for ref, _ in calls] == [new for _, new in calls]
+        rejected += any(ref is not None for ref, _ in calls)
+    assert rejected  # the mutant reaches the check on some build

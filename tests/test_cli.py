@@ -1,11 +1,14 @@
 """Command-line behaviour and exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -501,20 +504,82 @@ def test_tbr_cap_zero_expands_only_level_zero(files, capsys, monkeypatch):
 # whole command lines
 
 
+def _printed(argv):
+    """What a command that succeeds prints on stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@functools.cache
 def _documents(seed, n, components):
     """A seeded forest pair, its witness trace and network, and a forest
-    on other labels, as the text the commands read."""
+    on other labels, as the text the commands read; and the command line's
+    own outputs: ``gen`` documents, the files ``hybrid`` writes and
+    ``--json`` reports.  Cached, since a report carries its run time and
+    hypothesis must draw the same text when it replays an example."""
     rng = seeded_rng(seed)
     labels = [str(i) for i in range(1, n + 1)]
     F, F2 = random_forest_pair(labels, components, rng)
     witness = min_weight_cps(F, F2).witness
-    return {
+    docs = {
         "forest1": serialize_forest(F),
         "forest2": serialize_forest(F2),
         "trace": serialize_trace(witness),
         "network": serialize_network(build_network(F, F2, witness)),
         "other": serialize_forest(random_forest(labels[1:] + ["x"], 1, rng)),
     }
+    gen = ["gen", "--leaves", str(n), "--seed", str(seed), "--components", str(components)]
+    docs["gen"] = _printed(gen)
+    docs["gen --pair"] = _printed(gen + ["--pair"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp)
+        for name in ("forest1", "forest2", "network"):
+            (path / name).write_text(docs[name])
+        inputs = ["--forest1", str(path / "forest1"), "--forest2", str(path / "forest2")]
+        written = ["--trace-out", str(path / "trace-out"), "--network-out", str(path / "network-out")]
+        docs["hybrid --json"] = _printed(["--json", "hybrid"] + inputs + written)
+        docs["hybrid --trace-out"] = (path / "trace-out").read_text()
+        docs["hybrid --network-out"] = (path / "network-out").read_text()
+        docs["displays --json"] = _printed(
+            ["--json", "displays", "--network", str(path / "network"), "--forest", str(path / "forest1")]
+        )
+    return docs
+
+
+# the document each slot of each command reads, as named by _documents
+SLOTS = {
+    "hybrid": {"--forest1": "forest1", "--forest2": "forest2"},
+    "tbr": {"--tree1": "forest1", "--tree2": "forest2"},
+    "validate-trace": {"--forest1": "forest1", "--forest2": "forest2", "--trace": "trace"},
+    "build-network": {"--forest1": "forest1", "--forest2": "forest2", "--trace": "trace"},
+    "displays": {"--network": "network", "--forest": "forest1"},
+}
+OUTPUTS = ["gen", "gen --pair", "hybrid --json", "hybrid --trace-out", "hybrid --network-out", "displays --json"]
+
+
+def test_command_outputs_fed_to_every_document_slot(tmp_path):
+    # each document the command line writes, read back in every slot of
+    # every command, the other slots holding their proper documents
+    docs = _documents(4242, 6, 2)
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    for command, slots in SLOTS.items():
+        for slot in slots:
+            for output in OUTPUTS:
+                argv = [command]
+                for flag, proper in slots.items():
+                    argv += [flag, str(tmp_path / (output if flag == slot else proper))]
+                if command == "build-network":
+                    argv += ["--out", str(tmp_path / "out")]
+                for json_flag in ([], ["--json"]):
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                        code = main(json_flag + argv)
+                    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+                    assert "internal error" not in err.getvalue(), argv
+                    assert "Traceback" not in err.getvalue(), argv
 
 
 @st.composite

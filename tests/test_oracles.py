@@ -13,7 +13,7 @@ from cherrypick.newick import parse_forest, parse_network, parse_tree
 from cherrypick.oracles import DISPLAY_MAX_VERTICES, displays, tbr_distance_bfs, tbr_neighbors
 from cherrypick.trees import Forest, remove_edge_traced
 
-from util import all_topologies
+from util import all_topologies, displays_unpruned
 
 FOUR_CYCLE = "1 -- a\n2 -- b\n3 -- c\n4 -- d\na -- b\nb -- c\nc -- d\nd -- a\n"
 
@@ -234,3 +234,26 @@ def test_displays_matches_restriction_characterization_on_trees():
         hits += want
         misses += not want
     assert hits and misses  # both outcomes exercised
+
+
+def test_displays_finds_the_witness_of_the_unpruned_search():
+    # the search skips an end vertex that lacks two free neighbours for an
+    # internal tree vertex; every skipped branch fails, so the first
+    # witness found, and a None, are those of the plain backtracking
+    from cherrypick.builder import build_network
+    from cherrypick.generate import random_forest
+    from cherrypick.search import greedy_cps
+
+    rng = seeded_rng(3131)
+    found = []
+    for _ in range(70):
+        n = rng.randint(3, 8)
+        labels = [str(i) for i in range(1, n + 1)]
+        k = rng.randint(1, 3)
+        F, F2 = random_forest(labels, k, rng), random_forest(labels, k, rng)
+        net = build_network(F, F2, greedy_cps(F, F2))
+        for forest in (F, F2, random_forest(labels, rng.randint(1, 3), rng)):
+            witness = displays(net, forest)
+            assert witness == displays_unpruned(net, forest)
+            found.append(witness is not None)
+    assert any(found) and not all(found)

@@ -290,8 +290,8 @@ def test_branch_set_is_the_sibling_pair_cuts(monkeypatch):
     # each keeping x and y on one side
     seen = []
 
-    def recording(F, F2):
-        actions = _cherry_moves(F, F2)
+    def recording(F, F2, cherry):
+        actions = _cherry_moves(F, F2, cherry)
         seen.append((F, F2, actions))
         return actions
 

@@ -1,13 +1,16 @@
 """Shared test helpers: an independent topology enumerator, a
 label-respecting network isomorphism check, two brute-force minimum
-cherry picking sequences and a witness walk that enumerates every step.
+cherry picking sequences, a witness walk that enumerates every step, the
+whole image check of the network builder and the display enumeration
+without pruning.
 
 All are deliberately written from scratch (recursive insertion, plain
-backtracking, exhaustive search) so they can serve as oracles for the
-library's own code.
+backtracking, exhaustive search) or kept in their plain form, so they can
+serve as oracles for the library's own code.
 """
 
 import itertools
+from collections import deque
 
 from cherrypick.reductions import (
     ReductionTrace,
@@ -16,7 +19,9 @@ from cherrypick.reductions import (
     apply_step,
     legal_moves,
 )
-from cherrypick.trees import Forest, PhyloTree
+from cherrypick.errors import ImageTrackingError
+from cherrypick.oracles import ComponentImage, EmbeddingImage
+from cherrypick.trees import Forest, PhyloTree, _edge
 
 
 def all_topologies(labels):
@@ -196,3 +201,152 @@ def witness_full_enumeration(F, F2, weight):
                 F, F2, need = nF, nF2, need - step.cost
                 break
     return ReductionTrace(tuple(steps))
+
+
+def verify_images_in_full(state, pair):
+    """The builder's image check as one pass over everything: every path
+    of both forests of `pair` for validity, endpoints and leaf placement,
+    and the components of each forest for vertex-disjointness, in
+    component order.  `state` is a ``BuildState``."""
+    adj = state.adj
+    for side, forest in enumerate(pair):
+        vmap, epath = state.vmap[side], state.epath[side]
+        claimed = set()
+        for tree in forest.components:
+            comp_vertices = set()
+            for a in tree.adj:
+                if a not in vmap:
+                    raise ImageTrackingError("unmapped tree vertex %r" % (a,))
+                comp_vertices.add(vmap[a])
+            for a, ns in tree.adj.items():
+                for b in ns:
+                    if b < a:
+                        continue
+                    path = epath.get((a, b))
+                    if path is None:
+                        raise ImageTrackingError("no tracked image for forest edge %r" % ((a, b),))
+                    if path[0] != vmap[a] or path[-1] != vmap[b]:
+                        raise ImageTrackingError("path endpoints out of sync")
+                    u = path[0]
+                    for v in path[1:]:
+                        if v not in adj[u]:
+                            raise ImageTrackingError("tracked path leaves the network")
+                        u = v
+                    comp_vertices.update(path)
+            if not claimed.isdisjoint(comp_vertices):
+                raise ImageTrackingError(
+                    "component images share vertices %s" % sorted(claimed & comp_vertices)
+                )
+            claimed |= comp_vertices
+            for lab, tv in tree.vertex_of.items():
+                if vmap[tv] != state.vertex_of[lab]:
+                    raise ImageTrackingError("leaf %r mapped to the wrong vertex" % lab)
+
+
+def displays_unpruned(network, forest):
+    """``oracles.displays`` without its guards and without pruning: the
+    same backtracking over subdivision embeddings, trying every end vertex
+    for every internal tree vertex, so its first witness is the one the
+    pruned search must find."""
+
+    def embed_tree(tree, used):
+        if tree.num_vertices == 1:
+            label = next(iter(tree.labels.values()))
+            v = network.vertex_of[label]
+            if v in used:
+                return
+            used.add(v)
+            yield ComponentImage({tree.vertex_of[label]: v}, {})
+            used.discard(v)
+            return
+        anchor = min(tree.leaf_labels)
+        anchor_v = tree.vertex_of[anchor]
+        net_anchor = network.vertex_of[anchor]
+        if net_anchor in used:
+            return
+        order = []
+        seen = {anchor_v}
+        queue = deque([anchor_v])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(tree.adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    order.append((v, w))
+                    queue.append(w)
+        phi = {anchor_v: net_anchor}
+        paths = {}
+        used.add(net_anchor)
+
+        def candidate_paths(start, target):
+            path = [start]
+            on_path = {start}
+
+            def walk(v):
+                for w in network.simple_neighbors(v):
+                    if w in on_path or w in used:
+                        continue
+                    if target is not None:
+                        if w == target:
+                            yield path + [w]
+                        elif w not in network.labels:
+                            path.append(w)
+                            on_path.add(w)
+                            yield from walk(w)
+                            on_path.discard(w)
+                            path.pop()
+                    else:
+                        if w in network.labels:
+                            continue
+                        path.append(w)
+                        on_path.add(w)
+                        yield path + []
+                        yield from walk(w)
+                        on_path.discard(w)
+                        path.pop()
+
+            yield from walk(start)
+
+        def place(idx):
+            if idx == len(order):
+                yield ComponentImage(dict(phi), {k: tuple(v) for k, v in paths.items()})
+                return
+            a, b = order[idx]
+            if b in tree.labels:
+                target = network.vertex_of[tree.labels[b]]
+                if target in used:
+                    return
+            else:
+                target = None
+            for path in candidate_paths(phi[a], target):
+                phi[b] = path[-1]
+                fresh = path[1:]
+                used.update(fresh)
+                paths[_edge(a, b)] = list(path) if a < b else list(reversed(path))
+                yield from place(idx + 1)
+                del paths[_edge(a, b)]
+                for v in fresh:
+                    used.discard(v)
+                del phi[b]
+
+        yield from place(0)
+        used.discard(net_anchor)
+
+    comps = sorted(range(len(forest.components)), key=lambda i: -forest.components[i].num_vertices)
+    used = set()
+    found = {}
+
+    def place(k):
+        if k == len(comps):
+            return True
+        idx = comps[k]
+        for image in embed_tree(forest.components[idx], used):
+            found[idx] = image
+            if place(k + 1):
+                return True
+        found.pop(comps[k], None)
+        return False
+
+    if place(0):
+        return EmbeddingImage(tuple(found[i] for i in range(len(forest.components))))
+    return None
