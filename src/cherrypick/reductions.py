@@ -332,10 +332,28 @@ def _check_trees(*forests):
             tree.check()
 
 
+def _check_new_trees(before, after):
+    """Check the trees a step created, going from state `before` to state
+    `after`.  In each forest surgery replaced one component by them, so
+    each is checked against that component (see ``PhyloTree.check``);
+    the other components are the checked ones of `before`."""
+    for old, new in zip(before, after):
+        parent = next((t for t in old.components if t not in new.components), None)
+        for tree in new.components:
+            if tree not in old.components:
+                tree.check(parent)
+
+
 def replay_trace(F, F2, trace):
     """Replay a trace from a starting pair, checking every side condition,
     every tree a step creates and the terminal state; returns states and
-    surgery records."""
+    surgery records.
+
+    The starting components get the whole tree validation.  A tree a
+    step creates is checked against the component it was cut from: a
+    certificate reads only what the step changed, and the whole pass runs
+    whenever the certificate cannot prove the tree valid, so a faulty
+    tree fails with the same error either way."""
     if F.ground_set != F2.ground_set:
         raise GroundSetMismatch("forests are on different label sets")
     _check_trees(F, F2)
@@ -346,7 +364,7 @@ def replay_trace(F, F2, trace):
     for i, step in enumerate(trace.steps):
         try:
             cur_F, cur_F2, rec = apply_action(cur_F, cur_F2, check_step(cur_F, cur_F2, step))
-            _check_trees(cur_F, cur_F2)
+            _check_new_trees(states[-1], (cur_F, cur_F2))
         except (InapplicableStep, GroundSetMismatch, DuplicateLabel, ValueError) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost

@@ -11,12 +11,15 @@ valid tree leaves valid trees, so ``tree_remove_leaf`` and
 ``tree_remove_edge`` build their results with ``PhyloTree._trusted``,
 which skips the copy and the whole-tree check and patches the leaf index
 from the parent.  Such a tree stays unchecked until ``check()`` runs the
-full validation on it.  The trace replay (``reductions.replay_trace``,
+full validation on it, or ``check(parent)`` proves it valid from what
+differs from the tree it was cut from (falling back to the full
+validation when it cannot).  The trace replay (``reductions.replay_trace``,
 under ``validate_trace``, ``build_network`` and the commands built on
-them) checks every tree a step creates, so a trace from outside is held
-to the same checks as a parsed tree.  A forest keeps its components in
-the order given, so surgery splices new components in place; only the
-canonical form, which equality and serialization use, sorts them.
+them) checks every tree a step creates that way, so a trace from outside
+is held to the same checks as a parsed tree.  A forest keeps its
+components in the order given, so surgery splices new components in
+place; only the canonical form, which equality and serialization use,
+sorts them.
 
 Surgery functions come in two flavours: the plain ones return the new
 forest, the ``*_traced`` ones additionally return a record of which vertex
@@ -27,6 +30,7 @@ to track edge images.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     DuplicateLabel,
@@ -92,13 +96,90 @@ class PhyloTree:
         tree._checked = False
         return tree
 
-    def check(self):
-        """Run the full validation on a tree built by ``_trusted``, once;
-        trees from the public constructor are already checked."""
-        if not self._checked:
+    def check(self, parent=None):
+        """Validate a tree built by ``_trusted``, once; trees from the
+        public constructor are already checked.
+
+        With no argument this is the whole pass, ``_validate``.  Given
+        the checked tree that surgery cut this one from, it first tries a
+        certificate (``_certified``) that reads only what differs from
+        that parent, and runs the whole pass when the certificate cannot
+        prove the tree valid, so a faulty tree raises what ``_validate``
+        raises.  Surgery shares the parent's frozensets, so the changed
+        vertices are those whose adjacency is not the parent's object.
+        The certificate's argument:
+
+        * labels are a sub-dict of the parent's (valid, unique) on
+          vertices of this tree and keep every parent label of a vertex
+          here; ``vertex_of`` is a sub-dict of the parent's index of the
+          same size pointing at labelled vertices, hence their inverse;
+        * a changed vertex was in the parent, has no loop, a degree that
+          fits its label and only neighbours that list it back; an
+          unchanged vertex keeps its parent neighbours, none of them lost,
+          and its label status, so its degree fits too;
+        * every edge is a parent edge except edges between changed
+          vertices, and at most one such edge (p, q) is allowed, when p
+          and q have a common parent neighbour this tree lacks: the
+          parent's path p - z - q is cut, so the symmetric edges form a
+          forest of k trees.  A changed vertex cannot drop a kept parent
+          edge without a second new edge or a wrong degree, so an
+          unchanged vertex lists a changed one that does not list it
+          back only when that one is a leaf left alone, a tree of its
+          own; the degree sum 2n - 2 = 2(n - k) + (one-sided edges)
+          then forces k = 1 and no one-sided edge.
+        """
+        if self._checked:
+            return
+        if parent is None or not parent._checked or not self._certified(parent):
             if self._validate() != self.vertex_of:
                 raise ValueError("leaf index does not match the labels")
-            self._checked = True
+        self._checked = True
+
+    def _certified(self, parent):
+        """True only if ``_validate`` would pass on this tree and return
+        ``vertex_of``, judged against `parent` as ``check`` argues; False
+        leaves the verdict to the whole pass."""
+        adj, labels, vertex_of = self.adj, self.labels, self.vertex_of
+        b_adj = parent.adj
+        n = len(adj)
+        if not (
+            labels.items() <= parent.labels.items()
+            and labels.keys() <= adj.keys()
+            and len(labels) == len(parent.labels.keys() & adj.keys())
+            and len(vertex_of) == len(labels)
+            and vertex_of.items() <= parent.vertex_of.items()
+            and all(map(labels.__contains__, vertex_of.values()))
+            and sum(map(len, adj.values())) == 2 * n - 2
+        ):
+            return False
+        new_edges = set()
+        for v in [v for v, ns in adj.items() if b_adj.get(v) is not ns]:
+            ns = adj[v]
+            if v not in b_adj or v in ns or (len(ns) > 1 if v in labels else len(ns) != 3):
+                return False
+            b_ns = b_adj[v]
+            for w in ns:
+                if v not in adj.get(w, ()):
+                    return False
+                if w not in b_ns:
+                    new_edges.add(_edge(v, w))
+        if new_edges:
+            if len(new_edges) > 1:
+                return False
+            ((p, q),) = new_edges
+            if adj.keys() >= b_adj[p] & b_adj[q]:
+                return False
+        # every vertex is the parent's now: no unchanged vertex may keep a
+        # neighbour this tree lost; walk the lost vertices or, when they
+        # outnumber the tree, test every neighbour at once
+        if len(b_adj) - n <= n:
+            for r in b_adj.keys() - adj.keys():
+                for w in b_adj[r]:
+                    if adj.get(w) is b_adj[w]:
+                        return False
+        elif not frozenset().union(*adj.values()) <= adj.keys():
+            return False
+        return True
 
     def _validate(self):
         """Check the adjacency and labels; returns the leaf index they
@@ -261,17 +342,22 @@ class PhyloTree:
         A two-leaf tree is itself a cherry; in a three-leaf tree every leaf
         pair is one.
         """
-        if self.num_vertices == 2:
-            return [tuple(sorted(self.labels.values()))]
-        out = set()
-        for v, ns in self.adj.items():
-            if v in self.labels:
-                continue
-            labs = sorted(self.labels[w] for w in ns if w in self.labels)
-            for i in range(len(labs)):
-                for j in range(i + 1, len(labs)):
-                    out.add((labs[i], labs[j]))
-        return sorted(out)
+        adj = self.adj
+        if len(adj) < 3:
+            return [tuple(sorted(self.labels.values()))] if len(adj) == 2 else []
+        # group the leaves by their one neighbour; a group of k leaves
+        # holds k choose 2 cherries
+        by_parent = {}
+        for v, lab in self.labels.items():
+            (c,) = adj[v]
+            by_parent.setdefault(c, []).append(lab)
+        out = []
+        for labs in by_parent.values():
+            if len(labs) > 1:
+                labs.sort()
+                out.extend(combinations(labs, 2))
+        out.sort()
+        return out
 
     def cherry_vertex(self, cherry):
         """The common neighbour of a cherry's leaves, or None for the

@@ -466,11 +466,38 @@ def degree_two(adj, labels):
     return "internal vertex %r has degree 2" % (z,)
 
 
+def _pair_documents(n, seed):
+    """Serialized forest pairs (so parsing builds every tree through the
+    public constructor) and a greedy trace for them."""
+    rng = seeded_rng(seed)
+    F, F2 = random_forest_pair([str(i) for i in range(n)], rng.randint(1, 3), rng)
+    return serialize_forest(F), serialize_forest(F2), greedy_cps(F, F2)
+
+
 @pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
 @pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
 def test_corrupted_surgery_tree_is_caught_at_replay(surgery, corrupt, monkeypatch, tmp_path, capsys):
+    docs = ("((1,2),(3,4));", "((1,3),(2,4));", quartet_weight1_trace())
+    _assert_caught_at_replay(docs, surgery, corrupt, monkeypatch, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
+@pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
+def test_corrupted_surgery_tree_is_caught_at_replay_on_30_leaves(
+    surgery, corrupt, monkeypatch, tmp_path, capsys
+):
+    docs = _pair_documents(30, 3030)
+    _assert_caught_at_replay(docs, surgery, corrupt, monkeypatch, tmp_path, capsys)
+
+
+def _assert_caught_at_replay(docs, surgery, corrupt, monkeypatch, tmp_path, capsys):
+    """Corrupt every tree `surgery` builds; the replay must fail at the
+    first one with the whole pass's message, through the library and
+    through ``validate-trace`` (exit 5)."""
+    doc1, doc2, trace = docs
     real = getattr(trees, surgery)
     faults = []
+    verdicts = []
 
     def spoil(tree):
         if tree is None or tree.num_vertices < 2:
@@ -483,17 +510,21 @@ def test_corrupted_surgery_tree_is_caught_at_replay(surgery, corrupt, monkeypatc
         out, record = real(tree, arg)
         return (tuple(map(spoil, out)) if isinstance(out, tuple) else spoil(out)), record
 
+    def certified(tree, parent):
+        verdicts.append(certify(tree, parent))
+        return verdicts[-1]
+
+    certify = PhyloTree._certified
     monkeypatch.setattr(trees, surgery, corrupted)
-    F, F2 = state("((1,2),(3,4));", "((1,3),(2,4));")
+    monkeypatch.setattr(PhyloTree, "_certified", certified)
+    F, F2 = state(doc1, doc2)
     for check in (validate_trace, build_network):
         with pytest.raises(ReplayError) as exc:
-            check(F, F2, quartet_weight1_trace())
+            check(F, F2, trace)
         assert faults[0] in exc.value.reason
-    docs = {
-        "--forest1": "((1,2),(3,4));",
-        "--forest2": "((1,3),(2,4));",
-        "--trace": serialize_trace(quartet_weight1_trace()),
-    }
+    # the faulty tree went to the certificate first, which refused it
+    assert verdicts and not verdicts[-1]
+    docs = {"--forest1": doc1, "--forest2": doc2, "--trace": serialize_trace(trace)}
     argv = ["validate-trace"]
     for i, (flag, text) in enumerate(docs.items()):
         path = tmp_path / str(i)
@@ -502,3 +533,39 @@ def test_corrupted_surgery_tree_is_caught_at_replay(surgery, corrupt, monkeypatc
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: step ") and faults[0] in err
+
+
+def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
+    # every tree surgery creates passes the certificate against the tree
+    # it was cut from, sharing all but a few of its frozensets; a surgery
+    # change that lost them would make every check read the whole tree
+    validated, built, certified = [], [], []
+    validate, init, certify = PhyloTree._validate, PhyloTree.__init__, PhyloTree._certified
+
+    def counted_validate(self):
+        validated.append(id(self))
+        return validate(self)
+
+    def counted_init(self, adj, labels):
+        built.append(id(self))
+        init(self, adj, labels)
+
+    def counted_certify(self, parent):
+        unshared = sum(parent.adj.get(v) is not ns for v, ns in self.adj.items())
+        certified.append((certify(self, parent), unshared))
+        return certified[-1][0]
+
+    pairs = [_pair_documents(n, 4000 + n) for n in (40, 47, 53, 60)]
+    monkeypatch.setattr(PhyloTree, "_validate", counted_validate)
+    monkeypatch.setattr(PhyloTree, "__init__", counted_init)
+    monkeypatch.setattr(PhyloTree, "_certified", counted_certify)
+    for doc1, doc2, trace in pairs:
+        F, F2 = state(doc1, doc2)
+        weight = validate_trace(F, F2, trace)
+        assert weight == trace.weight
+        build_network(F, F2, trace)
+    assert validated == built
+    assert len(certified) > 400 and all(ok for ok, _ in certified)
+    # a step changes at most two vertices of each tree it leaves (the
+    # ends of a merged edge, or a cut's leaf end), and only those are read
+    assert max(unshared for _, unshared in certified) <= 2

@@ -212,6 +212,20 @@ def test_surgery_leaves_the_parent_unchanged():
                 PhyloTree(child.adj, child.labels)  # runs _validate afresh
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cherries_are_the_leaf_pairs_with_a_common_neighbour(n):
+    # by definition, on every tree with up to 8 leaves: two leaves form a
+    # cherry when they share their one neighbour or are the whole tree
+    for t in all_topologies([str(i) for i in range(n)]):
+        leaves = sorted(t.vertex_of.items())
+        want = [
+            (a, b)
+            for (a, u), (b, v) in itertools.combinations(leaves, 2)
+            if t.adj[u] == t.adj[v] or t.adj[u] == {v}
+        ]
+        assert t.cherries() == want
+
+
 def test_cherries_quartet():
     f = parse_forest("((1,2),(3,4));")
     assert f.cherries() == [("1", "2"), ("3", "4")]
@@ -455,3 +469,280 @@ def test_check_validates_a_surgery_tree_and_its_leaf_index():
     index = dict(child.vertex_of, **{"2": child.vertex_of["3"]})
     with pytest.raises(ValueError, match="leaf index does not match the labels"):
         PhyloTree._trusted(dict(child.adj), dict(child.labels), index).check()
+
+
+# ---------------------------------------------------------------------------
+# the certificate check() tries on a surgery child before the whole pass
+#
+# Each corruption changes one thing in a copy of a child's dicts (the copy
+# keeps the shared frozensets, so the certificate reads it as a child of
+# the same parent); it returns False where it does not apply.
+
+
+def _drop_half_edge(rng, parent, adj, labels, vertex_of):
+    v = rng.choice([v for v, ns in adj.items() if ns] or [None])
+    if v is None:
+        return False
+    adj[v] = adj[v] - {rng.choice(list(adj[v]))}
+    return True
+
+
+def _add_edge(rng, parent, adj, labels, vertex_of, both_halves):
+    if not adj:
+        return False
+    v = rng.choice(list(adj))
+    # the far end may be v itself or a vertex the child lost
+    far = sorted((adj.keys() | parent.adj.keys()) - adj[v])
+    if not far:
+        return False
+    w = rng.choice(far)
+    adj[v] = adj[v] | {w}
+    if both_halves and w in adj:
+        adj[w] = adj[w] | {v}
+    return True
+
+
+def _add_one_sided_edge(rng, parent, adj, labels, vertex_of):
+    return _add_edge(rng, parent, adj, labels, vertex_of, False)
+
+
+def _add_symmetric_edge(rng, parent, adj, labels, vertex_of):
+    return _add_edge(rng, parent, adj, labels, vertex_of, True)
+
+
+def _delete_vertex(rng, parent, adj, labels, vertex_of):
+    if not adj:
+        return False
+    v = rng.choice(list(adj))
+    ns = adj.pop(v)
+    if rng.random() < 0.5:
+        for w in ns:
+            if w in adj:
+                adj[w] = adj[w] - {v}
+    return True
+
+
+def _drop_label(rng, parent, adj, labels, vertex_of):
+    if not labels:
+        return False
+    lab = labels.pop(rng.choice(list(labels)))
+    if rng.random() < 0.5:
+        vertex_of.pop(lab, None)
+    return True
+
+
+def _retarget_vertex_of(rng, parent, adj, labels, vertex_of):
+    if not vertex_of:
+        return False
+    lab = rng.choice(list(vertex_of))
+    if rng.random() < 0.5:
+        vertex_of[lab] = rng.choice(sorted(parent.adj.keys() - {vertex_of[lab]}) or [None])
+    else:
+        # swap the entry for one of the parent's, maybe a label the child lost
+        del vertex_of[lab]
+        lab = rng.choice(sorted(parent.vertex_of))
+        vertex_of[lab] = parent.vertex_of[lab]
+    return True
+
+
+def _rename_label(rng, parent, adj, labels, vertex_of):
+    if not labels:
+        return False
+    v = rng.choice(list(labels))
+    old = labels[v]
+    # a fresh name, a name the child lost, or a name it still has
+    names = sorted((set(parent.vertex_of) | {"fresh"}) - {old})
+    labels[v] = new = rng.choice(names)
+    if rng.random() < 0.5:
+        vertex_of.pop(old, None)
+        vertex_of[new] = v
+    return True
+
+
+def _swap_neighbour(rng, parent, adj, labels, vertex_of):
+    # v - a and w - b become v - b and w - a: every degree stays
+    vs = [v for v, ns in adj.items() if ns]
+    if len(vs) < 2:
+        return False
+    v, w = rng.sample(vs, 2)
+    a, b = rng.choice(list(adj[v])), rng.choice(list(adj[w]))
+    if a == b or a in adj[w] or b in adj[v] or w == a or v == b:
+        return False
+    adj[v] = adj[v] - {a} | {b}
+    adj[w] = adj[w] - {b} | {a}
+    if rng.random() < 0.5 and a in adj and b in adj:
+        # keep it symmetric too
+        adj[a] = adj[a] - {v} | {w}
+        adj[b] = adj[b] - {w} | {v}
+    return True
+
+
+def _restore_lost_vertex(rng, parent, adj, labels, vertex_of):
+    lost = sorted(parent.adj.keys() - adj.keys())
+    if not lost:
+        return False
+    r = rng.choice(lost)
+    mode = rng.randrange(3)
+    if mode < 2:
+        adj[r] = parent.adj[r]
+    if r in parent.labels and mode > 0:
+        # with the vertex, or only its label in place of one the child has
+        labels[r] = parent.labels[r]
+        vertex_of[parent.labels[r]] = r
+        others = [v for v in labels if v != r]
+        if mode == 2 and others:
+            vertex_of.pop(labels.pop(rng.choice(others)), None)
+    return True
+
+
+def _subdivide_edge(rng, parent, adj, labels, vertex_of):
+    # a new vertex of degree two, as surgery that forgets to suppress leaves
+    edges = [(u, v) for u, ns in adj.items() for v in ns if v in adj and u in adj[v]]
+    if not edges:
+        return False
+    u, v = rng.choice(edges)
+    z = max(parent.adj.keys() | adj.keys()) + 1
+    adj[u], adj[v], adj[z] = adj[u] - {v} | {z}, adj[v] - {u} | {z}, frozenset((u, v))
+    if rng.random() < 0.5:
+        # or one of degree three, with a new unlabelled leaf
+        adj[z], adj[z + 1] = adj[z] | {z + 1}, frozenset((z,))
+    return True
+
+
+def _move_edge_end(rng, parent, adj, labels, vertex_of):
+    # v - a becomes v - b: the degree sum stays, a's and b's degrees do not
+    v = rng.choice(list(adj) or [None])
+    if not adj.get(v):
+        return False
+    a = rng.choice(list(adj[v]))
+    b = rng.choice(list(adj))
+    if b in adj[v] or b == v:
+        return False
+    adj[v] = adj[v] - {a} | {b}
+    if a in adj:
+        adj[a] = adj[a] - {v}
+    adj[b] = adj[b] | {v}
+    return True
+
+
+CORRUPTIONS = [
+    _drop_half_edge,
+    _add_one_sided_edge,
+    _add_symmetric_edge,
+    _delete_vertex,
+    _drop_label,
+    _retarget_vertex_of,
+    _rename_label,
+    _swap_neighbour,
+    _restore_lost_vertex,
+    _subdivide_edge,
+    _move_edge_end,
+]
+
+
+def _whole_pass_accepts(tree):
+    try:
+        return tree._validate() == tree.vertex_of
+    except (ValueError, DuplicateLabel):
+        return False
+
+
+def _surgery_children(tree, rng, k):
+    """The trees left by k random surgeries on a tree: leaf drops, and
+    both sides of cuts."""
+    ops = [("leaf", lab) for lab in tree.vertex_of] + [("edge", e) for e in tree.edges()]
+    out = []
+    for kind, arg in rng.sample(ops, min(k, len(ops))):
+        if kind == "leaf":
+            out.append(tree_remove_leaf(tree, arg)[0])
+        else:
+            out.extend(tree_remove_edge(tree, arg)[0])
+    return [child for child in out if child is not None]
+
+
+def _certificate_candidates(seeds, surgeries=4):
+    """Judge the certificate on corrupted surgery children of seeded trees
+    with 2-40 leaves, walked 1-5 surgery steps deep; returns the number
+    of corrupted candidates.  Every uncorrupted child must be certified,
+    and no candidate may be certified that the whole pass rejects."""
+    candidates = 0
+    for seed in seeds:
+        rng = seeded_rng(seed)
+        parent = random_tree([str(i) for i in range(rng.randint(2, 40))], rng)
+        for _ in range(rng.randint(1, 5)):
+            children = _surgery_children(parent, rng, surgeries)
+            if not children:
+                break
+            for child in children:
+                assert child._certified(parent)
+                # each corruption alone, then random pairs of them
+                for corrupts in [(c,) for c in CORRUPTIONS] + [
+                    tuple(rng.choices(CORRUPTIONS, k=2)) for _ in CORRUPTIONS
+                ]:
+                    adj, labels, vertex_of = dict(child.adj), dict(child.labels), dict(child.vertex_of)
+                    if not all([c(rng, parent, adj, labels, vertex_of) for c in corrupts]):
+                        continue
+                    candidates += 1
+                    tree = PhyloTree._trusted(adj, labels, vertex_of)
+                    # (no tree in the message: a cyclic one has no canonical form)
+                    sound = not tree._certified(parent) or _whole_pass_accepts(tree)
+                    assert sound, (corrupts, adj, labels, vertex_of)
+            child = rng.choice(children)
+            child.check(parent)
+            parent = child
+    return candidates
+
+
+def test_certificate_accepts_only_what_the_whole_pass_accepts():
+    assert _certificate_candidates(range(250)) >= 20_000
+
+
+@pytest.mark.slow
+def test_certificate_accepts_only_what_the_whole_pass_accepts_at_scale():
+    assert _certificate_candidates(range(250, 1250)) >= 60_000
+
+
+def _hand_made_child(parent_adj, parent_labels, lost, changed):
+    """A parent tree and a child that keeps the parent's frozensets except
+    at the `changed` vertices and drops the `lost` ones with their labels."""
+    parent = PhyloTree(parent_adj, parent_labels)
+    adj = {v: ns for v, ns in parent.adj.items() if v not in lost}
+    adj.update((v, frozenset(ns)) for v, ns in changed.items())
+    labels = {v: lab for v, lab in parent.labels.items() if v not in lost}
+    vertex_of = {lab: v for v, lab in labels.items()}
+    return parent, PhyloTree._trusted(adj, labels, vertex_of)
+
+
+@pytest.mark.parametrize(
+    "parent_adj, parent_labels, lost, changed, message",
+    [
+        # p (13) and q (11) still meet through m (12): the one new edge
+        # (p, q) closes a cycle, and leaf 0 is left alone
+        (
+            {0: [10], 1: [10], 2: [13], 3: [11], 4: [12], 5: [13],
+             10: [0, 1, 11], 11: [10, 12, 3], 12: [11, 13, 4], 13: [12, 2, 5]},
+            {i: "l%d" % i for i in range(6)},
+            {1, 2, 10},
+            {0: [], 13: [12, 5, 11], 11: [12, 3, 13]},
+            "tree is disconnected",
+        ),
+        # a loop at 10 in place of its lost leaf, and leaf 1 left alone
+        # while 11 still lists it
+        (
+            {0: [10], 1: [11], 2: [10], 3: [11], 10: [0, 11, 2], 11: [10, 1, 3]},
+            {i: "l%d" % i for i in range(4)},
+            {0},
+            {10: [10, 11, 2], 1: []},
+            "loop at vertex 10",
+        ),
+    ],
+)
+def test_certificate_rejects_what_only_its_cycle_guards_catch(
+    parent_adj, parent_labels, lost, changed, message
+):
+    # every count and degree fits in both children; only the common
+    # neighbour test and the loop test tell them from a tree
+    parent, child = _hand_made_child(parent_adj, parent_labels, lost, changed)
+    assert not child._certified(parent)
+    with pytest.raises(ValueError, match=message):
+        child.check(parent)
