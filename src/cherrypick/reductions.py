@@ -351,7 +351,8 @@ def replay_trace(F, F2, trace):
 
     The starting components get the whole tree validation.  A tree a
     step creates is checked against the component it was cut from: a
-    certificate reads only what the step changed, and the whole pass runs
+    certificate checks the vertices the step changed one by one, with a
+    few C-level tests of the whole tree, and the whole pass runs
     whenever the certificate cannot prove the tree valid, so a faulty
     tree fails with the same error either way."""
     if F.ground_set != F2.ground_set:

@@ -11,9 +11,9 @@ valid tree leaves valid trees, so ``tree_remove_leaf`` and
 ``tree_remove_edge`` build their results with ``PhyloTree._trusted``,
 which skips the copy and the whole-tree check and patches the leaf index
 from the parent.  Such a tree stays unchecked until ``check()`` runs the
-full validation on it, or ``check(parent)`` proves it valid from what
-differs from the tree it was cut from (falling back to the full
-validation when it cannot).  The trace replay (``reductions.replay_trace``,
+full validation on it, or ``check(parent)`` proves it valid against
+the tree it was cut from (falling back to the full validation when it
+cannot).  The trace replay (``reductions.replay_trace``,
 under ``validate_trace``, ``build_network`` and the commands built on
 them) checks every tree a step creates that way, so a trace from outside
 is held to the same checks as a parsed tree.  A forest keeps its
@@ -102,8 +102,9 @@ class PhyloTree:
 
         With no argument this is the whole pass, ``_validate``.  Given
         the checked tree that surgery cut this one from, it first tries a
-        certificate (``_certified``) that reads only what differs from
-        that parent, and runs the whole pass when the certificate cannot
+        certificate (``_certified``): a few C-level tests of the whole
+        tree, and per-vertex checks only at the vertices that differ from
+        that parent.  It runs the whole pass when the certificate cannot
         prove the tree valid, so a faulty tree raises what ``_validate``
         raises.  Surgery shares the parent's frozensets, so the changed
         vertices are those whose adjacency is not the parent's object.
@@ -113,20 +114,18 @@ class PhyloTree:
           vertices of this tree and keep every parent label of a vertex
           here; ``vertex_of`` is a sub-dict of the parent's index of the
           same size pointing at labelled vertices, hence their inverse;
-        * a changed vertex was in the parent, has no loop, a degree that
-          fits its label and only neighbours that list it back; an
-          unchanged vertex keeps its parent neighbours, none of them lost,
+        * every vertex was in the parent and every listed neighbour is in
+          this tree; a changed vertex has no loop and a degree that fits
+          its label, and an unchanged vertex keeps its parent neighbours
           and its label status, so its degree fits too;
-        * every edge is a parent edge except edges between changed
-          vertices, and at most one such edge (p, q) is allowed, when p
-          and q have a common parent neighbour this tree lacks: the
-          parent's path p - z - q is cut, so the symmetric edges form a
-          forest of k trees.  A changed vertex cannot drop a kept parent
-          edge without a second new edge or a wrong degree, so an
-          unchanged vertex lists a changed one that does not list it
-          back only when that one is a leaf left alone, a tree of its
-          own; the degree sum 2n - 2 = 2(n - k) + (one-sided edges)
-          then forces k = 1 and no one-sided edge.
+        * a pair of vertices listed by either end is a parent edge unless
+          one end is changed, and at most one such new pair (p, q) is
+          allowed, when p and q have a common parent neighbour this tree
+          lacks: the parent's path p - z - q is cut, so the pairs form a
+          forest, at most n - 1 of them.  Each pair is listed once or
+          twice and the degree sum is 2n - 2, so every pair is listed
+          twice (the adjacency is symmetric) and there are n - 1 of them:
+          a forest with n - 1 edges on n vertices is one tree.
         """
         if self._checked:
             return
@@ -150,6 +149,7 @@ class PhyloTree:
             and vertex_of.items() <= parent.vertex_of.items()
             and all(map(labels.__contains__, vertex_of.values()))
             and sum(map(len, adj.values())) == 2 * n - 2
+            and frozenset().union(*adj.values()) <= adj.keys()
         ):
             return False
         new_edges = set()
@@ -157,29 +157,13 @@ class PhyloTree:
             ns = adj[v]
             if v not in b_adj or v in ns or (len(ns) > 1 if v in labels else len(ns) != 3):
                 return False
-            b_ns = b_adj[v]
-            for w in ns:
-                if v not in adj.get(w, ()):
-                    return False
-                if w not in b_ns:
-                    new_edges.add(_edge(v, w))
-        if new_edges:
-            if len(new_edges) > 1:
-                return False
-            ((p, q),) = new_edges
-            if adj.keys() >= b_adj[p] & b_adj[q]:
-                return False
-        # every vertex is the parent's now: no unchanged vertex may keep a
-        # neighbour this tree lost; walk the lost vertices or, when they
-        # outnumber the tree, test every neighbour at once
-        if len(b_adj) - n <= n:
-            for r in b_adj.keys() - adj.keys():
-                for w in b_adj[r]:
-                    if adj.get(w) is b_adj[w]:
-                        return False
-        elif not frozenset().union(*adj.values()) <= adj.keys():
+            new_edges.update(_edge(v, w) for w in ns - b_adj[v])
+        if not new_edges:
+            return True
+        if len(new_edges) > 1:
             return False
-        return True
+        ((p, q),) = new_edges
+        return not adj.keys() >= b_adj[p] & b_adj[q]
 
     def _validate(self):
         """Check the adjacency and labels; returns the leaf index they
@@ -342,22 +326,16 @@ class PhyloTree:
         A two-leaf tree is itself a cherry; in a three-leaf tree every leaf
         pair is one.
         """
-        adj = self.adj
-        if len(adj) < 3:
-            return [tuple(sorted(self.labels.values()))] if len(adj) == 2 else []
-        # group the leaves by their one neighbour; a group of k leaves
-        # holds k choose 2 cherries
+        if self.num_vertices == 2:
+            return [tuple(sorted(self.labels.values()))]
+        # group the leaves by their neighbour; a group of k holds k choose 2
         by_parent = {}
         for v, lab in self.labels.items():
-            (c,) = adj[v]
-            by_parent.setdefault(c, []).append(lab)
-        out = []
-        for labs in by_parent.values():
-            if len(labs) > 1:
-                labs.sort()
-                out.extend(combinations(labs, 2))
-        out.sort()
-        return out
+            for c in self.adj[v]:
+                by_parent.setdefault(c, []).append(lab)
+        return sorted(
+            p for labs in by_parent.values() for p in combinations(sorted(labs), 2)
+        )
 
     def cherry_vertex(self, cherry):
         """The common neighbour of a cherry's leaves, or None for the

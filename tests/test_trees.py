@@ -625,6 +625,17 @@ def _move_edge_end(rng, parent, adj, labels, vertex_of):
     return True
 
 
+def _rewrite_lists(rng, parent, adj, labels, vertex_of):
+    # one to three vertices list up to three vertices of the child or the
+    # parent, chosen at random: one-sided edges of any shape
+    if not adj:
+        return False
+    universe = sorted(parent.adj.keys() | adj.keys())
+    for v in rng.sample(sorted(adj), min(len(adj), rng.randint(1, 3))):
+        adj[v] = frozenset(rng.sample(universe, rng.randint(0, min(3, len(universe)))))
+    return True
+
+
 CORRUPTIONS = [
     _drop_half_edge,
     _add_one_sided_edge,
@@ -637,6 +648,7 @@ CORRUPTIONS = [
     _restore_lost_vertex,
     _subdivide_edge,
     _move_edge_end,
+    _rewrite_lists,
 ]
 
 
