@@ -3,9 +3,10 @@
 The trace is replayed backwards from the terminal single-leaf network.
 Undoing a C1/C3 step inserts a pendant leaf (reticulation number
 unchanged); undoing a C2 step inserts one new edge whose endpoints
-subdivide tracked edge images (reticulation number +1).  The builder
-therefore returns a phylogenetic network N with r(N) <= w(trace) that
-displays both starting forests.
+subdivide tracked edge images (reticulation number +1).  Both undo steps
+re-open the ends of a removed forest edge, each end with ``_host`` and
+``_reopen``.  The builder therefore returns a phylogenetic network N with
+r(N) <= w(trace) that displays both starting forests.
 
 Throughout the reverse replay the builder maintains, for every edge of
 both current forests, an explicit path of network vertices (its image).
@@ -318,12 +319,6 @@ class BuildState:
             raise ImageTrackingError("no tracked image for forest edge %r" % (key,))
         return path
 
-    def first_edge_of_merged(self, side, merged):
-        path = self.peek_path(side, *merged)
-        if len(path) < 2:
-            raise ImageTrackingError("tracked image path is degenerate")
-        return (path[0], path[1])
-
     def _split_merged(self, side, merged, suppressed, w):
         """Replace the image of a merged edge by the images of the two
         edges it came from, meeting at the new vertex w."""
@@ -335,6 +330,31 @@ class BuildState:
         self.vmap[side][suppressed] = w
         self.set_path(side, n1, suppressed, old[: i + 1])
         self.set_path(side, suppressed, n2, old[i:])
+
+    def _host(self, side, end):
+        """The network edge whose subdivision re-opens `end` of a removed
+        edge: a leaf end's pendant edge, or the first edge of the image
+        that a suppressed end's two edges were merged into."""
+        if end.kind == "leaf":
+            return self.pendant_edge(end.label)
+        path = self.peek_path(side, *end.merged_edge)
+        if len(path) < 2:
+            raise ImageTrackingError("tracked image path is degenerate")
+        return (path[0], path[1])
+
+    def _reopen(self, side, end, w):
+        """Re-open `end` of a removed edge at network vertex `w`, the
+        subdivision of its host (None when the network is a single
+        vertex); returns the image path from w out to the end."""
+        if end.kind == "leaf":
+            leaf = self.vertex_of[end.label]
+            if self.vmap[side].get(end.vertex) != leaf:
+                raise ImageTrackingError("singleton image out of sync")
+            return [leaf] if w is None else [w, leaf]
+        if w is None:
+            raise ImageTrackingError("suppression undo needs a subdivision")
+        self._split_merged(side, end.merged_edge, end.vertex, w)
+        return [w]
 
     # -- undo operations -------------------------------------------------
 
@@ -353,79 +373,43 @@ class BuildState:
             if step.rule == "C1":
                 host = self.pendant_edge(step.y)
             else:
-                informative = [(s, r) for s, r in enumerate(recs) if r.kind != "dropped"]
-                if not informative:
+                ends = [(s, r.far) for s, r in enumerate(recs) if r.far is not None]
+                if ends:
+                    host = self._host(*ends[0])
+                else:
                     # isolated in both forests: any edge works; use the
                     # pendant edge of the smallest leaf for determinism
                     host = self.pendant_edge(min(self.vertex_of))
-                else:
-                    side, rec = informative[0]
-                    if rec.kind == "collapsed":
-                        host = self.pendant_edge(rec.partner_label)
-                    else:
-                        host = self.first_edge_of_merged(side, rec.merged_edge)
             w = self.subdivide(*host)
             x_v = self.add_leaf(x, w)
 
         for side, rec in enumerate(recs):
-            if rec.kind == "dropped":
-                self.vmap[side][rec.leaf_vertex] = x_v
-            elif rec.kind == "collapsed":
-                partner_net = self.vmap[side][rec.partner_vertex]
-                self.vmap[side][rec.leaf_vertex] = x_v
-                path = [x_v, partner_net] if w is None else [x_v, w, partner_net]
-                self.set_path(side, rec.leaf_vertex, rec.partner_vertex, path)
-            else:
-                if w is None:
-                    raise ImageTrackingError("suppression undo needs a subdivision")
-                self._split_merged(side, rec.merged_edge, rec.suppressed_vertex, w)
-                self.vmap[side][rec.leaf_vertex] = x_v
-                self.set_path(side, rec.suppressed_vertex, rec.leaf_vertex, [w, x_v])
+            self.vmap[side][rec.leaf_vertex] = x_v
+            if rec.far is not None:
+                path = [x_v] + self._reopen(side, rec.far, w)
+                self.set_path(side, rec.leaf_vertex, rec.far.vertex, path)
 
         if self.reticulation() != before_r:
             raise ImageTrackingError("pendant insertion changed the reticulation number")
 
     def add_display_edge(self, side, removal):
         """Undo a C2 step by inserting one new edge whose endpoints
-        subdivide the tracked images of the edges the cut created; the
-        reticulation number grows by exactly one."""
+        subdivide the hosts of the cut's two ends; the reticulation
+        number grows by exactly one."""
         before_r = self.reticulation()
         eff_a, eff_b = removal.effects
-        hosts = []
-        for eff in (eff_a, eff_b):
-            if eff.kind == "leaf":
-                hosts.append(self.pendant_edge(eff.label))
-            else:
-                hosts.append(self.first_edge_of_merged(side, eff.merged_edge))
+        hosts = [self._host(side, eff) for eff in removal.effects]
         if eff_a.kind == "suppressed" and eff_b.kind == "suppressed":
             pa = set(self.peek_path(side, *eff_a.merged_edge))
             pb = set(self.peek_path(side, *eff_b.merged_edge))
             if pa & pb:
                 raise ImageTrackingError("images of the split components overlap")
 
-        new_vs = []
-        for host in hosts:
-            new_vs.append(self.subdivide(*host))
-        va, vb = new_vs
+        va, vb = [self.subdivide(*host) for host in hosts]
         self._connect(va, vb)
-
-        for eff, nv in zip((eff_a, eff_b), new_vs):
-            if eff.kind == "leaf":
-                net_leaf = self.vertex_of[eff.label]
-                if self.vmap[side].get(eff.vertex) != net_leaf:
-                    raise ImageTrackingError("singleton image out of sync")
-            else:
-                self._split_merged(side, eff.merged_edge, eff.vertex, nv)
-
-        a_id, b_id = removal.edge
-        seq = []
-        if eff_a.kind == "leaf":
-            seq.append(self.vertex_of[eff_a.label])
-        seq.append(va)
-        seq.append(vb)
-        if eff_b.kind == "leaf":
-            seq.append(self.vertex_of[eff_b.label])
-        self.set_path(side, a_id, b_id, seq)
+        part_a = self._reopen(side, eff_a, va)
+        part_b = self._reopen(side, eff_b, vb)
+        self.set_path(side, *removal.edge, part_a[::-1] + part_b)
 
         if self.reticulation() != before_r + 1:
             raise ImageTrackingError("display edge did not add exactly one cycle")

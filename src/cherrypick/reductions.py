@@ -41,6 +41,7 @@ from .errors import (
     ReplayError,
 )
 from .trees import (
+    _edge,
     pendant_shapes,
     remove_edge_traced,
     remove_leaf_traced,
@@ -193,11 +194,9 @@ def _pair_moves(A, B, x, y, orientation):
         # C2b_ii cuts the edge of B at x's neighbour that avoids the x--y path
         b_comp = B.component_index(x)
         btree = B.components[b_comp]
-        xv, yv = btree.vertex_of[x], btree.vertex_of[y]
-        (u,) = btree.adj[xv]
-        on_path = set(btree.path(xv, yv))
-        (w,) = [n for n in btree.adj[u] if n != xv and n not in on_path]
-        action = ("cut", 1 - side, b_comp, tuple(sorted((u, w))))
+        path = btree.path(btree.vertex_of[x], btree.vertex_of[y])
+        (w,) = btree.adj[path[1]] - {path[0], path[2]}
+        action = ("cut", 1 - side, b_comp, _edge(path[1], w))
         yield ReductionStep(x, "C2b_ii", orientation, y=y, cut="c2b_edge"), action
 
 
@@ -256,8 +255,11 @@ def apply_action(F, F2, action):
     it; returns (F', F2', record).
 
     The record is ("drop", left LeafRemoval, right LeafRemoval) or
-    ("cut", side, EdgeRemoval); it carries the vertex bookkeeping the
-    network builder consumes.
+    ("cut", side, EdgeRemoval).  Each says, with ``EndpointEffect``s, how
+    the ends of the removed forest edge were left: a LeafRemoval the far
+    end of the removed leaf's pendant edge (None for an isolated leaf),
+    an EdgeRemoval both ends of the cut.  The network builder re-opens
+    those ends to undo the step.
     """
     if action[0] == "drop":
         x = action[1]

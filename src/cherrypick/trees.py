@@ -21,11 +21,16 @@ components in the order given, so surgery splices new components in
 place; only the canonical form, which equality and serialization use,
 sorts them.
 
-Surgery functions come in two flavours: the plain ones return the new
-forest, the ``*_traced`` ones additionally return a record of which vertex
-was suppressed and which edges got merged.  The records keep vertex ids
-stable across a reduction replay, which is what the network builder needs
-to track edge images.
+Both surgeries remove one forest edge: a cut removes the edge, and
+dropping leaf x removes x's pendant edge and then the isolated x.
+``_close_end`` closes each end of the removed edge (a leaf end loses its
+neighbour, an internal end is suppressed) and returns an
+``EndpointEffect`` saying how that end was left.  The plain surgery
+functions return the new forest; the ``*_traced`` ones also return a
+record of those effects: an ``EdgeRemoval`` has both ends of the cut, a
+``LeafRemoval`` the far end of x's pendant edge.  The records keep vertex
+ids stable across a reduction replay, which is what the network builder
+needs to track edge images.
 """
 
 from collections import deque
@@ -305,7 +310,7 @@ class PhyloTree:
         order = [start]
         for v in order:
             for w in adj[v]:
-                if w != parent[v] and w not in labels:
+                if w not in parent and w not in labels:
                     parent[w] = v
                     order.append(w)
         text = {}
@@ -354,30 +359,31 @@ class PhyloTree:
 
 
 # ---------------------------------------------------------------------------
-# surgery on a single tree, with replay records
-
-
-@dataclass(frozen=True)
-class LeafRemoval:
-    """How a leaf left a tree: its component vanished ("dropped"), a
-    two-leaf component collapsed to the partner ("collapsed"), or an
-    internal vertex was suppressed and two edges merged ("suppressed")."""
-
-    label: str
-    kind: str
-    leaf_vertex: int
-    partner_vertex: int = None
-    partner_label: str = None
-    suppressed_vertex: int = None
-    merged_edge: tuple = None
+# surgery on a single tree; its record says how each end of the removed
+# edge was left
 
 
 @dataclass(frozen=True)
 class EndpointEffect:
+    """How one end of a removed edge was left: a "leaf" end lost its only
+    neighbour and is now an isolated vertex; a "suppressed" end was an
+    internal vertex, deleted by joining its two other neighbours into
+    ``merged_edge``."""
+
     vertex: int
-    kind: str  # "leaf" (endpoint became a singleton) or "suppressed"
+    kind: str  # "leaf" or "suppressed"
     label: str = None
     merged_edge: tuple = None
+
+
+@dataclass(frozen=True)
+class LeafRemoval:
+    """How leaf x left a tree: its pendant edge was removed, ``far`` is
+    the EndpointEffect of that edge's other end (None when x was an
+    isolated vertex), and the isolated x was deleted."""
+
+    leaf_vertex: int
+    far: EndpointEffect = None
 
 
 @dataclass(frozen=True)
@@ -386,62 +392,55 @@ class EdgeRemoval:
     effects: tuple  # one EndpointEffect per endpoint, in edge order
 
 
-def _join(adj, n1, n2, z):
-    """Replace the path n1 - z - n2 by the edge n1 - n2 in an adjacency
-    dict of frozensets; z itself must already be gone from `adj`."""
+def _close_end(adj, labels, z, gone):
+    """Close end `z` of a removed edge whose other end is `gone`, in an
+    adjacency dict of frozensets: a leaf loses that neighbour, an internal
+    vertex is suppressed by joining its two other neighbours.  Returns the
+    end's EndpointEffect."""
+    if z in labels:
+        adj[z] = adj[z] - {gone}
+        return EndpointEffect(z, "leaf", label=labels[z])
+    n1, n2 = sorted(adj.pop(z) - {gone})
     adj[n1] = adj[n1] - {z} | {n2}
     adj[n2] = adj[n2] - {z} | {n1}
+    return EndpointEffect(z, "suppressed", merged_edge=(n1, n2))
 
 
 def tree_remove_leaf(tree, label):
-    """Remove a leaf from a tree; returns (new tree or None, record)."""
+    """Remove a leaf from a tree: delete its pendant edge, close the far
+    end and delete the isolated leaf; returns (new tree or None, record)."""
     if label not in tree.vertex_of:
         raise UnknownLabel("no leaf %r" % (label,))
     xv = tree.vertex_of[label]
-    if tree.num_vertices == 1:
-        return None, LeafRemoval(label, "dropped", xv)
-    if tree.num_vertices == 2:
-        (pv,) = tree.adj[xv]
-        plab = tree.labels[pv]
-        rec = LeafRemoval(label, "collapsed", xv, partner_vertex=pv, partner_label=plab)
-        # a new one-vertex tree, not patched from the parent: checking it is free
-        return PhyloTree({pv: frozenset()}, {pv: plab}), rec
+    if not tree.adj[xv]:
+        return None, LeafRemoval(xv)
     (u,) = tree.adj[xv]
-    n1, n2 = sorted(tree.adj[u] - {xv})
     # untouched vertices share the parent's frozensets
     adj = dict(tree.adj)
-    del adj[xv], adj[u]
-    _join(adj, n1, n2, u)
+    del adj[xv]
+    far = _close_end(adj, tree.labels, u, xv)
+    if far.kind == "leaf":
+        # a new one-vertex tree, not patched from the parent: checking it is free
+        return PhyloTree(adj, {u: far.label}), LeafRemoval(xv, far)
     labels = dict(tree.labels)
     del labels[xv]
     vertex_of = dict(tree.vertex_of)
     del vertex_of[label]
-    rec = LeafRemoval(label, "suppressed", xv, suppressed_vertex=u, merged_edge=(n1, n2))
-    return PhyloTree._trusted(adj, labels, vertex_of), rec
+    return PhyloTree._trusted(adj, labels, vertex_of), LeafRemoval(xv, far)
 
 
 def tree_remove_edge(tree, edge):
-    """Delete an edge, suppress the resulting degree-two vertices and
-    return ((side_a, side_b), record) with sides ordered by the edge's
-    endpoints."""
+    """Delete an edge, close both its ends and return ((side_a, side_b),
+    record) with sides ordered by the edge's endpoints."""
     a, b = edge
     if not tree.has_edge(a, b):
         raise InvalidEdgeRef("edge %r not in tree" % (edge,))
     # untouched vertices share the parent's frozensets
     adj = dict(tree.adj)
-    adj[a] = adj[a] - {b}
-    adj[b] = adj[b] - {a}
-    effects = []
-    for z in (a, b):
-        if z in tree.labels:
-            effects.append(EndpointEffect(z, "leaf", label=tree.labels[z]))
-        else:
-            n1, n2 = sorted(adj.pop(z))
-            _join(adj, n1, n2, z)
-            effects.append(EndpointEffect(z, "suppressed", merged_edge=(n1, n2)))
+    effects = (_close_end(adj, tree.labels, a, b), _close_end(adj, tree.labels, b, a))
     # walk the smaller side; the larger one is what is left of the
     # adjacency and the labels
-    roots = [z if eff.kind == "leaf" else eff.merged_edge[0] for z, eff in zip((a, b), effects)]
+    roots = [eff.vertex if eff.kind == "leaf" else eff.merged_edge[0] for eff in effects]
     small, order = _smaller_side(adj, *roots)
     adj_s = {v: adj.pop(v) for v in order}
     labels, vertex_of = dict(tree.labels), dict(tree.vertex_of)
@@ -457,7 +456,7 @@ def tree_remove_edge(tree, edge):
     ]
     if small == 1:
         comps.reverse()
-    return tuple(comps), EdgeRemoval(_edge(a, b), tuple(effects))
+    return tuple(comps), EdgeRemoval(_edge(a, b), effects)
 
 
 def _smaller_side(adj, root_a, root_b):

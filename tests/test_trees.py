@@ -1,10 +1,16 @@
 """Core tree and forest operations."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cherrypick
 from cherrypick.errors import (
     DuplicateLabel,
     EmptyRestriction,
@@ -124,6 +130,29 @@ def test_remove_edge_isolated_edge_gives_two_singletons():
     f = parse_forest("(1,2);")
     got = remove_edge(f, pendant_of("1"))
     assert canonical_form(got) == canonical_form(parse_forest("1;\n2;"))
+
+
+def test_leaf_drop_is_the_pendant_cut_then_deleting_the_isolated_leaf():
+    # dropping x removes one edge, as a cut does: the tree left is the
+    # cut's side without x, and the record's far end is the cut's other end
+    trees = [t for n in range(1, 8) for t in all_topologies([str(i) for i in range(n)])]
+    assert [t.num_vertices for t in trees[:2]] == [1, 2]
+    for t in trees:
+        for x, xv in t.vertex_of.items():
+            pruned, rec = tree_remove_leaf(t, x)
+            assert rec.leaf_vertex == xv
+            if t.num_vertices == 1:
+                assert pruned is None and rec.far is None
+                continue
+            sides, cut = tree_remove_edge(t, t.pendant_edge(x))
+            (rest,) = [side for side in sides if xv not in side.adj]
+            (far,) = [eff for eff in cut.effects if eff.vertex != xv]
+            assert (pruned.adj, pruned.labels, pruned.vertex_of) == (
+                rest.adj,
+                rest.labels,
+                rest.vertex_of,
+            )
+            assert rec.far == far is not None
 
 
 def test_remove_edge_bad_selector():
@@ -356,6 +385,36 @@ def test_canonical_distinguishes_attachments():
 def test_canonical_separates_all_five_leaf_topologies():
     canons = {Forest([t]).canonical for t in all_topologies("12345")}
     assert len(canons) == 15
+
+
+def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
+    # a surgery tree stays unchecked until check(); rendering one whose
+    # three internal vertices form a triangle must end, not grow its walk
+    # without bound, so it runs in a child process under a memory cap
+    code = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from cherrypick.trees import PhyloTree
+        adj = {0: {1, 2, 3}, 1: {0, 2, 4}, 2: {0, 1, 5}, 3: {0}, 4: {1}, 5: {2}}
+        tree = PhyloTree._trusted(
+            {v: frozenset(ns) for v, ns in adj.items()},
+            {3: "a", 4: "b", 5: "c"},
+            {"a": 3, "b": 4, "c": 5},
+        )
+        try:
+            repr(tree)
+        except MemoryError:
+            raise
+        except Exception as exc:
+            print(type(exc).__name__)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cherrypick.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_forest_ignores_component_order():
