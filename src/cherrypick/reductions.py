@@ -191,13 +191,21 @@ def _pair_moves(A, B, x, y, orientation):
                 )
                 yield step, ("cut", side, comp, edge)
     elif rule == "C2b_i":
-        # C2b_ii cuts the edge of B at x's neighbour that avoids the x--y path
         b_comp = B.component_index(x)
-        btree = B.components[b_comp]
-        path = btree.path(btree.vertex_of[x], btree.vertex_of[y])
-        (w,) = btree.adj[path[1]] - {path[0], path[2]}
-        action = ("cut", 1 - side, b_comp, _edge(path[1], w))
+        action = ("cut", 1 - side, b_comp, _path_end_edges(B.components[b_comp], x, y)[0])
         yield ReductionStep(x, "C2b_ii", orientation, y=y, cut="c2b_edge"), action
+
+
+def _path_end_edges(tree, x, y):
+    """The edges that hang off the two inner ends of the path x, u_1, ...,
+    u_m, y between leaves x and y of a tree (m >= 2): the one at u_1, then
+    the one at u_m.  They are the C2b_ii edges of (x, y) and of (y, x)."""
+    path = tree.path(tree.vertex_of[x], tree.vertex_of[y])
+    ends = []
+    for i in (1, -2):
+        (w,) = tree.adj[path[i]] - {path[i - 1], path[i + 1]}
+        ends.append(_edge(path[i], w))
+    return ends
 
 
 def check_step(F, F2, step):

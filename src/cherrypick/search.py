@@ -2,9 +2,10 @@
 
 ``greedy_cps`` always produces a valid sequence (its weight is an upper
 bound); ``min_weight_cps`` finds the exact minimum by iterative-deepening
-depth-first search over canonical state pairs with memoized bounds.  The
-minimum weight over all sequences equals the hybrid number of the two
-forests, and for two trees the TBR distance between them.
+depth-first search over pairs of forests, memoized on their label
+partitions.  The minimum weight over all sequences equals the hybrid
+number of the two forests, and for two trees the TBR distance between
+them.
 
 The search is single-threaded and deterministic: the witness of an exact
 result is the lexicographically least optimal trace under the step
@@ -20,6 +21,7 @@ from .reductions import (
     ReductionStep,
     ReductionTrace,
     _pair_moves,
+    _path_end_edges,
     applicable_steps,
     apply_action,
     apply_step,
@@ -138,24 +140,21 @@ def _cherry_moves(F, F2, cherry):
     """The cut actions the search branches on at a state without a free
     step, around F's first cherry (x, y) (see ``_Searcher``): e_x, then
     e_y unless it is the same edge, in F; when x and y share a tree of F2,
-    the pendant subtrees at u_1, then u_m, of their path x, u_1..u_m, y."""
+    the pendant subtrees at u_1, then u_m, of their path x, u_1..u_m, y,
+    which are the C2b_ii edges of (x, y) and of (y, x)."""
     x, y = cherry
     comp = F.component_index(x)
     e_x, e_y = (F.components[comp].pendant_edge(leaf) for leaf in (x, y))
     actions = [("cut", 0, comp, e) for e in ((e_x,) if e_x == e_y else (e_x, e_y))]
     b_comp = F2.component_index(x)
     if F2.component_index(y) == b_comp:
-        btree = F2.components[b_comp]
-        path = btree.path(btree.vertex_of[x], btree.vertex_of[y])
-        for i in (1, -2):
-            (w,) = btree.adj[path[i]] - {path[i - 1], path[i + 1]}
-            actions.append(("cut", 1, b_comp, tuple(sorted((path[i], w)))))
+        actions.extend(("cut", 1, b_comp, e) for e in _path_end_edges(F2.components[b_comp], x, y))
     return actions
 
 
 class _Searcher:
     """Iterative-deepening search over pairs of forests, memoized on
-    canonical state keys.
+    their label partitions.
 
     Free steps are forced.  When a C1 or C3 step is legal, the search takes
     the first one (C1 before C3, each in enumeration order) as the state's
@@ -236,6 +235,17 @@ class _Searcher:
     Elsewhere a C2 step can sort before the free C3 step and keep the
     value as well, so the walk enumerates the checked
     ``applicable_steps`` and asks the search for each child's value.
+
+    The memo key of a state is the label partition of each forest, never
+    a rendering of its trees.  Steps only cut edges and drop leaves, and
+    both delete edges and suppress the degree-two vertices left, so every
+    component of a state is the input component holding its labels
+    restricted to those labels (Allen & Steel's agreement-forest view).
+    One searcher only sees descendants of one input pair, so the two
+    partitions determine the state.  The key joins each component's
+    sorted labels with "," and the sorted component strings with ";";
+    neither character can occur in a label, so distinct partitions get
+    distinct keys.
     """
 
     def __init__(self, budget=None):
@@ -246,8 +256,10 @@ class _Searcher:
 
     @staticmethod
     def _key(F, F2):
-        a, b = F.canonical, F2.canonical
-        return (a, b) if a <= b else (b, a)
+        return tuple(
+            ";".join(sorted(",".join(sorted(t.vertex_of)) for t in forest.components))
+            for forest in (F, F2)
+        )
 
     def _lookup(self, key, cutoff):
         hit = self.memo.get(key)

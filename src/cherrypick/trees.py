@@ -79,12 +79,11 @@ class PhyloTree:
     exactly three.
     """
 
-    __slots__ = ("adj", "labels", "vertex_of", "_canon", "_checked")
+    __slots__ = ("adj", "labels", "vertex_of", "_checked")
 
     def __init__(self, adj, labels):
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
         self.labels = dict(labels)
-        self._canon = None
         self.vertex_of = self._validate()
         self._checked = True
 
@@ -97,7 +96,6 @@ class PhyloTree:
         tree.adj = adj
         tree.labels = labels
         tree.vertex_of = vertex_of
-        tree._canon = None
         tree._checked = False
         return tree
 
@@ -288,13 +286,10 @@ class PhyloTree:
         """Canonical Newick string, identical for label-isomorphic trees.
 
         The tree is rooted on the pendant edge of its lexicographically
-        smallest leaf and children are sorted recursively.
+        smallest leaf and children are sorted recursively.  It is rendered
+        afresh on every read.  On an unchecked tree whose adjacency has a
+        cycle it raises ValueError.
         """
-        if self._canon is None:
-            self._canon = self._compute_canonical()
-        return self._canon
-
-    def _compute_canonical(self):
         if self.num_vertices == 1:
             return next(iter(self.labels.values())) + ";"
         adj, labels = self.adj, self.labels
@@ -305,14 +300,19 @@ class PhyloTree:
             return "(" + ",".join(sorted((root_label, labels[start]))) + ");"
         # internal vertices in breadth-first order from `start`; rendering
         # them in reverse finishes every child before its parent, so deep
-        # trees need no recursion
-        parent = {start: rv}
+        # trees need no recursion.  Each vertex's neighbours are its parent
+        # and the children the walk gives it; any other closes a cycle.
+        parent = {rv: None, start: rv}
         order = [start]
         for v in order:
+            up = parent[v]
             for w in adj[v]:
-                if w not in parent and w not in labels:
+                if w not in parent:
                     parent[w] = v
-                    order.append(w)
+                    if w not in labels:
+                        order.append(w)
+                elif w != up:
+                    raise ValueError("cycle through the edge %r" % (_edge(v, w),))
         text = {}
         for v in reversed(order):
             kids = [labels[w] if w in labels else text.pop(w) for w in adj[v] if w != parent[v]]
@@ -605,11 +605,10 @@ class Forest:
     component in turn.
     """
 
-    __slots__ = ("components", "ground_set", "_canon")
+    __slots__ = ("components", "ground_set")
 
     def __init__(self, components):
         self.components = tuple(components)
-        self._canon = None
         indexes = [t.vertex_of for t in self.components]
         self.ground_set = frozenset().union(*indexes)
         if len(self.ground_set) != sum(map(len, indexes)):
@@ -623,9 +622,7 @@ class Forest:
 
     @property
     def canonical(self):
-        if self._canon is None:
-            self._canon = "\n".join(sorted(t.canonical for t in self.components))
-        return self._canon
+        return "\n".join(sorted(t.canonical for t in self.components))
 
     def __repr__(self):
         return "Forest(%s)" % self.canonical.replace("\n", " | ")

@@ -9,21 +9,24 @@ from cherrypick.errors import CapExceeded, GroundSetMismatch, NotATree
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, serialize_trace
 from cherrypick.oracles import tbr_neighbors
-from cherrypick.reductions import labels_of, validate_trace
+from cherrypick.reductions import apply_action, labels_of, validate_trace
 from cherrypick.search import (
     _cherry_moves,
+    _Searcher,
+    _solve,
     greedy_cps,
     hybrid_number,
     min_weight_cps,
     tbr_distance,
 )
-from cherrypick.trees import Forest, PhyloTree, canonical_form
+from cherrypick.trees import Forest, PhyloTree, canonical_form, restrict
 
 from util import (
     all_topologies,
     forest_pairs,
     min_trace_bruteforce,
     min_trace_full_branching,
+    near_pair,
     witness_full_enumeration,
 )
 
@@ -370,6 +373,59 @@ def test_value_only_solves_skip_the_witness_walk(monkeypatch):
     assert tbr_distance(a, b) == 2
     with pytest.raises(AssertionError, match="nobody reads"):
         min_weight_cps(a, b)
+
+
+def test_search_states_are_the_inputs_restricted_to_their_partition(monkeypatch):
+    # the memo key is each forest's label partition; it names a state
+    # because every component the search sees is the input component
+    # holding its labels restricted to them, and cutting e_x and e_y in
+    # either order reaches one state under one key
+    key = _Searcher._key
+
+    def cut_pendant(F, F2, leaf):
+        comp = F.component_index(leaf)
+        return apply_action(F, F2, ("cut", 0, comp, F.components[comp].pendant_edge(leaf)))[:2]
+
+    def checking(F, F2):
+        for forest, start in zip((F, F2), inputs):
+            for t in forest.components:
+                home = start.components[start.component_index(next(iter(t.vertex_of)))]
+                assert t.canonical == restrict(home, t.leaf_labels).canonical
+        cherries = F.cherries()
+        if cherries:
+            x, y = cherries[0]
+            if len(F.components[F.component_index(x)].vertex_of) > 2:
+                one = cut_pendant(*cut_pendant(F, F2, x), y)
+                two = cut_pendant(*cut_pendant(F, F2, y), x)
+                assert key(*one) == key(*two) and one == two
+        seen.append(key(F, F2))
+        return seen[-1]
+
+    monkeypatch.setattr(_Searcher, "_key", staticmethod(checking))
+    pairs = []
+    for n in range(4, 10):
+        labels = [str(i) for i in range(1, n + 1)]
+        rng = seeded_rng(3100 + n)
+        pairs.extend(random_forest_pair(labels, k, rng) for k in (1, 2, 3, 1, 2, 3))
+    pairs.extend(near_pair(30, 5, s) for s in (0, 1))
+    for inputs in pairs:
+        seen = []
+        result = min_weight_cps(*inputs)
+        assert result.status == "exact" and (result.min_weight == 0 or seen)
+
+
+def test_value_only_solve_renders_no_tree(monkeypatch):
+    # the search keys its states by label partition and greedy compares
+    # no trees, so a value-only solve reads no canonical form
+    F, F2 = random_forest_pair([str(i) for i in range(1, 10)], 2, seeded_rng(4242))
+    renders = []
+    canonical = PhyloTree.canonical
+    monkeypatch.setattr(
+        PhyloTree, "canonical", property(lambda t: renders.append(t) or canonical.fget(t))
+    )
+    result = _solve(F, F2, walk=False)
+    assert result.lower > 1 and result.stats.nodes > 10
+    assert len(renders) == 0
 
 
 def test_tbr_distance_with_a_cap():

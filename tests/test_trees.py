@@ -235,7 +235,7 @@ def test_surgery_leaves_the_parent_unchanged():
         for edge in t.edges():
             children.extend(tree_remove_edge(t, edge)[0])
         assert {v: set(ns) for v, ns in t.adj.items()} == adj
-        assert t.canonical == canon == t._compute_canonical()
+        assert t.canonical == canon  # rendered afresh on each read
         for child in children:
             if child is not None:
                 PhyloTree(child.adj, child.labels)  # runs _validate afresh
@@ -389,8 +389,9 @@ def test_canonical_separates_all_five_leaf_topologies():
 
 def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
     # a surgery tree stays unchecked until check(); rendering one whose
-    # three internal vertices form a triangle must end, not grow its walk
-    # without bound, so it runs in a child process under a memory cap
+    # three internal vertices form a triangle must end with a ValueError
+    # that names the cycle, not grow its walk without bound, so it runs
+    # in a child process under a memory cap
     code = textwrap.dedent(
         """
         import resource
@@ -407,7 +408,7 @@ def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
         except MemoryError:
             raise
         except Exception as exc:
-            print(type(exc).__name__)
+            print(type(exc).__name__, exc)
         """
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cherrypick.__file__).parents[1]))
@@ -415,6 +416,7 @@ def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("ValueError cycle through the edge"), proc.stdout
 
 
 def test_forest_ignores_component_order():

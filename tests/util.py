@@ -1,8 +1,8 @@
 """Shared test helpers: an independent topology enumerator, a
 label-respecting network isomorphism check, two brute-force minimum
 cherry picking sequences, a witness walk that enumerates every step, the
-whole image check of the network builder and the display enumeration
-without pruning.
+whole image check of the network builder, the display enumeration
+without pruning and seeded near tree pairs.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) or kept in their plain form, so they can
@@ -20,8 +20,9 @@ from cherrypick.reductions import (
     legal_moves,
 )
 from cherrypick.errors import ImageTrackingError
-from cherrypick.oracles import ComponentImage, EmbeddingImage
-from cherrypick.trees import Forest, PhyloTree, _edge
+from cherrypick.generate import random_tree, seeded_rng
+from cherrypick.oracles import ComponentImage, EmbeddingImage, _attach_points, _reconnect
+from cherrypick.trees import Forest, PhyloTree, _edge, restrict
 
 
 def all_topologies(labels):
@@ -114,6 +115,27 @@ def forest_pairs(labels):
     """All ordered pairs of single-tree forests over a label set."""
     tops = [Forest([t]) for t in all_topologies(labels)]
     return list(itertools.product(tops, tops))
+
+
+def near_pair(n, k, s):
+    """A random tree on labels 1..n against itself after k random TBR
+    moves, as two one-component forests.  Each move cuts a random edge,
+    restricts the tree to the two sides and reconnects them at random
+    attach points; pair s of (n, k) draws from ``seeded_rng(9000 + 100n
+    + 10k + s)``."""
+    rng = seeded_rng(9000 + 100 * n + 10 * k + s)
+    tree = moved = random_tree([str(i) for i in range(1, n + 1)], rng)
+    for _ in range(k):
+        edges = moved.edges()
+        edge = edges[rng.randrange(len(edges))]
+        side = moved.side_leaves(edge, edge[0])
+        parts = restrict(moved, side), restrict(moved, moved.leaf_labels - side)
+        points = [_attach_points(part) for part in parts]
+        moved = _reconnect(
+            parts[0], points[0][rng.randrange(len(points[0]))],
+            parts[1], points[1][rng.randrange(len(points[1]))],
+        )
+    return Forest([tree]), Forest([moved])
 
 
 def min_trace_bruteforce(F, F2):
