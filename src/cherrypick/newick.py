@@ -5,11 +5,14 @@ one ``u -- v`` edge per line (a repeated line makes a double edge, leaves
 are the degree-one vertices and their tokens are the labels); traces are
 JSON arrays of reduction steps.  In forest and network documents ``#``
 starts a comment and blank lines are skipped; both LF and CRLF line ends
-are accepted.
+are accepted.  A Newick line is read as a list of tokens (punctuation and
+labels, with blanks between them) folded into a tree by one loop; see
+``_parse_newick_line``.
 """
 
 import itertools
 import json
+import re
 
 from .errors import (
     DegreeViolation,
@@ -29,106 +32,87 @@ from .trees import FORBIDDEN_LABEL_CHARS, Forest, PhyloTree, is_valid_label
 # forests
 
 
+# A line's tokens: each punctuation mark, and each maximal run of other
+# characters that are not blanks (a label, valid or not).  Only blanks lie
+# between tokens.
+_TOKEN = re.compile(r"[(),;]|[^(),; \t]+")
+
+
 def _parse_newick_line(content, line_no, alloc, seen_labels):
     """Parse one Newick string into a PhyloTree.
 
-    A rooted string with a degree-two root is unrooted by suppressing the
-    root; a three-child root is kept as an internal vertex.
+    The line is read in two steps.  ``_TOKEN`` lists its tokens with their
+    offsets, and an end token ``(len(content), "")`` stands for the end of
+    the line, so a fault there is reported at column len + 1.  One loop
+    then folds the tokens: open parentheses live on an explicit stack of
+    (opener offset, child vertices), so nesting depth is not limited by
+    the recursion limit, and a closed group becomes one vertex joined to
+    its children.  A rooted string with a degree-two root is unrooted by
+    suppressing the root; a three-child root is kept as an internal
+    vertex.
     """
-    pos = 0
-    end = len(content)
     adj = {}
     labels = {}
+    tokens = itertools.chain(
+        ((m.start(), m.group()) for m in _TOKEN.finditer(content)), [(len(content), "")]
+    )
 
     def err(message, at, cls=ParseError):
         raise cls(message, line=line_no, column=at + 1)
 
-    def skip_ws():
-        nonlocal pos
-        while pos < end and content[pos] in " \t":
-            pos += 1
-
-    def new_vertex():
+    def vertex(kids=()):
         v = next(alloc)
-        adj[v] = set()
+        adj[v] = set(kids)
+        for k in kids:
+            adj[k].add(v)
         return v
 
-    def connect(u, v):
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def parse_label():
-        nonlocal pos
-        start = pos
-        while pos < end and content[pos] not in "(),;" and content[pos] not in " \t":
-            pos += 1
-        tok = content[start:pos]
-        if not tok:
-            err("expected a leaf label", start)
+    groups = []
+    for at, tok in tokens:
+        if tok == "(":
+            groups.append((at, []))
+            continue
+        if not tok or tok in "),;":
+            err("expected a leaf label", at)
         if ":" in tok:
-            err("branch lengths are not supported", start + tok.index(":"))
+            err("branch lengths are not supported", at + tok.index(":"))
         if set(tok) & FORBIDDEN_LABEL_CHARS:
-            err("invalid character in label %r" % tok, start)
+            err("invalid character in label %r" % tok, at)
         if tok in seen_labels:
-            err("duplicate label %r" % tok, start, DuplicateLabel)
-        seen_labels[tok] = (line_no, start + 1)
-        v = new_vertex()
+            err("duplicate label %r" % tok, at, DuplicateLabel)
+        seen_labels[tok] = (line_no, at + 1)
+        v = vertex()
         labels[v] = tok
-        return v
-
-    def parse_body():
-        """Everything before ';'.  Open parentheses live on an explicit
-        stack of (opener position, child vertices), so nesting depth is
-        not limited by the recursion limit."""
-        nonlocal pos
-        groups = []
-        while True:
-            skip_ws()
-            if pos < end and content[pos] == "(":
-                groups.append((pos, []))
-                pos += 1
-                continue
-            v = parse_label()
-            while groups:
-                opener, kids = groups[-1]
-                kids.append(v)
-                skip_ws()
-                if pos < end and content[pos] == ",":
-                    pos += 1
-                    break
-                if pos >= end or content[pos] != ")":
-                    err("expected ',' or ')'", pos if pos < end else end)
-                pos += 1
-                groups.pop()
-                if not groups:
-                    close_root(opener, kids)
-                    return
+        # fold the finished vertex v into the open groups, closing each
+        # group that a ')' ends; a ',' asks for the next child
+        while groups:
+            opener, kids = groups[-1]
+            kids.append(v)
+            at, tok = next(tokens)
+            if tok == ",":
+                break
+            if tok != ")":
+                err("expected ',' or ')'", at)
+            groups.pop()
+            if groups:
                 if len(kids) != 2:
                     err("internal node with %d children (need 2)" % len(kids), opener, NonBinary)
-                v = new_vertex()
-                for k in kids:
-                    connect(v, k)
+                v = vertex(kids)
+            elif len(kids) == 2:  # unroot by suppressing the root
+                adj[kids[0]].add(kids[1])
+                adj[kids[1]].add(kids[0])
+            elif len(kids) == 3:
+                vertex(kids)
             else:
-                return  # a single-leaf tree
-
-    def close_root(opener, kids):
-        if len(kids) == 2:
-            connect(kids[0], kids[1])  # unroot by suppressing the root
-        elif len(kids) == 3:
-            v = new_vertex()
-            for k in kids:
-                connect(v, k)
+                err("root with %d children (need 2 or 3)" % len(kids), opener, NonBinary)
         else:
-            err("root with %d children (need 2 or 3)" % len(kids), opener, NonBinary)
-
-    parse_body()
-    skip_ws()
-    if pos >= end or content[pos] != ";":
-        err("expected ';'", pos if pos < end else end)
-    pos += 1
-    skip_ws()
-    if pos != end:
-        err("unexpected text after ';'", pos)
+            break  # the root group closed, or the tree is a single leaf
+    at, tok = next(tokens)
+    if tok != ";":
+        err("expected ';'", at)
+    at, tok = next(tokens)
+    if tok:
+        err("unexpected text after ';'", at)
     return PhyloTree(adj, labels)
 
 

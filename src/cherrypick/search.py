@@ -280,9 +280,8 @@ class _Searcher:
             self.memo[key] = (best, exact)
 
     def residual(self, F, F2, cutoff):
-        """min(true residual weight, cutoff); exact when below cutoff."""
-        if cutoff <= 0:
-            return 0
+        """min(true residual weight, cutoff); exact when below cutoff.
+        Every caller passes a cutoff of at least one."""
         chain = []  # keys of the states passed on the way, all of equal value
         best = 0
         while len(F.ground_set) > 1:
@@ -334,10 +333,10 @@ class _Searcher:
                 cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, ("drop", step.label))
                 steps.append(step)
                 continue
+            # here need >= 1 (a state of value 0 has a free step) and a
+            # step costs at most one, so every step fits
             for step in applicable_steps(cur_F, cur_F2):
                 cost = step.cost
-                if cost > need:
-                    continue
                 nF, nF2 = apply_step(cur_F, cur_F2, step)
                 rest = self.residual(nF, nF2, need - cost + 1)
                 if rest == need - cost:
@@ -369,7 +368,11 @@ def _solve(F, F2, budget=None, cap=None, walk=True):
     """``min_weight_cps`` for the package's own callers: with a ``cap``,
     the search stops as "bounded" (stop reason "cap") once every weight up
     to ``cap`` is ruled out, and ``walk=False`` skips the witness walk for
-    callers that need only the value (the witness is then None)."""
+    callers that need only the value (the witness is then None).  A
+    negative budget or cap raises ValueError."""
+    for name, bound in (("budget", budget), ("cap", cap)):
+        if bound is not None and bound < 0:
+            raise ValueError("%s must be non-negative, got %r" % (name, bound))
     start = time.monotonic()
     upper_trace = greedy_cps(F, F2)
     upper = upper_trace.weight
@@ -418,7 +421,9 @@ def tbr_distance(T, T2, cap=None):
     single-component forests: the minimum cherry picking weight, and 0
     without a search when the trees are equal.  Raises CapExceeded when
     the distance exceeds ``cap``, as soon as the search has ruled out
-    every distance up to it."""
+    every distance up to it, and ValueError for a negative ``cap``."""
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be non-negative, got %r" % (cap,))
     if len(T.components) != 1 or len(T2.components) != 1:
         raise NotATree("tbr needs single-tree inputs")
     if T.ground_set != T2.ground_set:

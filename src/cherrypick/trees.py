@@ -342,20 +342,14 @@ class PhyloTree:
             p for labs in by_parent.values() for p in combinations(sorted(labs), 2)
         )
 
-    def cherry_vertex(self, cherry):
-        """The common neighbour of a cherry's leaves, or None for the
-        two-leaf tree."""
-        x, y = cherry
-        if x not in self.vertex_of or y not in self.vertex_of:
-            raise NotACherry("%r is not a cherry of this tree" % (cherry,))
-        if self.num_vertices == 2:
-            return None
-        xv, yv = self.vertex_of[x], self.vertex_of[y]
-        (cx,) = self.adj[xv]
-        (cy,) = self.adj[yv]
-        if cx != cy:
-            raise NotACherry("%r is not a cherry of this tree" % (cherry,))
-        return cx
+    def cherry_partners(self, label):
+        """Labels forming a cherry with `label`, sorted: the other leaf of
+        a two-leaf tree, else the other leaves at its one neighbour."""
+        v = self.vertex_of[label]
+        if self.num_vertices <= 2:
+            return [self.labels[w] for w in self.adj[v]]
+        (c,) = self.adj[v]
+        return sorted(self.labels[w] for w in self.adj[c] if w in self.labels and w != v)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +533,12 @@ def pendant_shapes(tree, cherry):
     """All ((x,y),p) / ((x,y),(p,q)) pendant subtrees for a cherry of a
     tree, including the non-proper whole-tree occurrences."""
     x, y = cherry
-    c = tree.cherry_vertex(cherry)
-    if c is None:
+    if x not in tree.vertex_of or y not in tree.cherry_partners(x):
+        raise NotACherry("%r is not a cherry of this tree" % (cherry,))
+    if tree.num_vertices == 2:
         return []
     labels = tree.labels
+    (c,) = tree.adj[tree.vertex_of[x]]
     (d,) = tree.adj[c] - {tree.vertex_of[x], tree.vertex_of[y]}
     if d in labels:
         # three-leaf star: ((x,y),z) is the whole tree
@@ -658,15 +654,7 @@ class Forest:
         """Labels forming a cherry with `label`, sorted."""
         if label not in self.ground_set:
             return []
-        t = self.components[self.component_index(label)]
-        if t.num_vertices == 1:
-            return []
-        if t.num_vertices == 2:
-            (other,) = t.leaf_labels - {label}
-            return [other]
-        v = t.vertex_of[label]
-        (c,) = t.adj[v]
-        return sorted(t.labels[w] for w in t.adj[c] if w in t.labels and w != v)
+        return self.components[self.component_index(label)].cherry_partners(label)
 
     def replace_component(self, index, new_components):
         """The forest with component `index` replaced, in place, by the

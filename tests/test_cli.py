@@ -28,6 +28,8 @@ from cherrypick.networks import network_from_tree, reticulation_number
 from cherrypick.search import min_weight_cps
 from cherrypick.trees import Forest
 
+from util import child_env
+
 QUARTET_A = "((1,2),(3,4));\n"
 QUARTET_B = "((1,3),(2,4));\n"
 
@@ -442,8 +444,8 @@ def test_displays_past_the_size_guard_exit_4(files, capsys, json_flag):
 
 def test_gen_deterministic_bytes():
     cmd = [sys.executable, "-m", "cherrypick.cli", "gen", "--leaves", "5", "--seed", "7", "--pair"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, env=child_env(), capture_output=True, text=True)
+    b = subprocess.run(cmd, env=child_env(), capture_output=True, text=True)
     assert a.returncode == 0
     assert a.stdout == b.stdout
     docs = a.stdout.split(PAIR_SEPARATOR + "\n")

@@ -3,10 +3,12 @@
 import pytest
 
 from cherrypick.errors import (
+    Disconnected,
     NotABlobEdge,
     NotPendantBlob,
     TooManyLeaves,
     TooSmall,
+    TripleEdge,
     UnknownLabel,
     UnsupportedConfiguration,
 )
@@ -45,6 +47,37 @@ def test_reticulation_double_edge():
     n = parse_network("x -- u\ny -- v\nu -- v\nu -- v\n")
     assert n.num_vertices == 4 and n.num_edges == 4
     assert reticulation_number(n) == 1
+
+
+def test_reticulation_of_forests_and_other_objects():
+    assert reticulation_number(parse_forest("((1,2),(3,4));")) == 0
+    with pytest.raises(Disconnected, match=r"^forest with 2 components$"):
+        reticulation_number(parse_forest("(1,2);\n3;"))
+    for other in (None, 3, "x -- y", [(0, 1)]):
+        with pytest.raises(TypeError):
+            reticulation_number(other)
+
+
+# ---------------------------------------------------------------------------
+# the model's own checks; parse_network makes most of them first
+
+
+NETWORK_FAULTS = [
+    ([(0, 0), (0, 1)], {1: "a"}, ValueError, "loop at vertex 0"),
+    ([(0, 1)], {}, ValueError, "a network has a non-empty leaf set"),
+    ([(0, 1)], {0: "a", 1: "b c"}, ValueError, "invalid label 'b c'"),
+    ([(0, 1)], {0: "a", 1: "a"}, ValueError, "duplicate label 'a'"),
+    ([(0, 1)] * 3 + [(0, 2)], {2: "a"}, TripleEdge, "more than two parallel edges between 0 and 1"),
+    ([(0, 1), (0, 2)], {0: "a", 1: "b", 2: "c"}, ValueError, "labeled vertex 0 has degree 2"),
+]
+
+
+@pytest.mark.parametrize("edges, labels, cls, message", NETWORK_FAULTS)
+def test_pseudo_network_checks(edges, labels, cls, message):
+    with pytest.raises(cls) as exc:
+        PseudoNetwork(edges, labels)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cherrypick.errors import (
 from cherrypick.generate import random_forest, random_tree, seeded_rng
 from cherrypick.networks import network_from_tree
 from cherrypick.newick import (
+    _parse_newick_line,
     parse_forest,
     parse_network,
     parse_trace,
@@ -103,6 +104,37 @@ def test_parse_branch_lengths_rejected():
 def test_parse_missing_semicolon():
     with pytest.raises(ParseError):
         parse_forest("(1,2)")
+
+
+# Each fault of the line reader, with the column it is reported at; a
+# fault at the end of a line is reported one past its last character.
+LINE_FAULTS = [
+    ("(1,);", ParseError, "expected a leaf label", 4),
+    ("(1,", ParseError, "expected a leaf label", 4),
+    ("( \t", ParseError, "expected a leaf label", 4),
+    ("(1,2:0.5);", ParseError, "branch lengths are not supported", 5),
+    ("(1,a\fb);", ParseError, "invalid character in label 'a\\x0cb'", 4),
+    ("(1, 1);", DuplicateLabel, "duplicate label '1'", 5),
+    ("(1 2);", ParseError, "expected ',' or ')'", 4),
+    ("((1,2)", ParseError, "expected ',' or ')'", 7),
+    ("((1,2,3),4);", NonBinary, "internal node with 3 children (need 2)", 2),
+    ("(1,2,3,4);", NonBinary, "root with 4 children (need 2 or 3)", 1),
+    (" (1);", NonBinary, "root with 1 children (need 2 or 3)", 2),
+    ("(1,2)x;", ParseError, "expected ';'", 6),
+    ("(1,2) ", ParseError, "expected ';'", 7),
+    ("(1,2); x", ParseError, "unexpected text after ';'", 8),
+    ("1;;", ParseError, "unexpected text after ';'", 3),
+]
+
+
+@pytest.mark.parametrize("content, cls, message, column", LINE_FAULTS)
+def test_line_reader_faults(content, cls, message, column):
+    # the line reader itself, since '\f' ends a line of a whole document
+    with pytest.raises(ParseError) as exc:
+        _parse_newick_line(content, 3, itertools.count(), {})
+    assert type(exc.value) is cls
+    assert (exc.value.line, exc.value.column) == (3, column)
+    assert str(exc.value) == "%s (line 3, column %d)" % (message, column)
 
 
 def test_parse_empty_document():

@@ -435,3 +435,18 @@ def test_tbr_distance_with_a_cap():
     for cap in (0, 1):
         with pytest.raises(CapExceeded, match="TBR distance exceeds cap %d" % cap):
             tbr_distance(a, b, cap=cap)
+
+
+def test_negative_budgets_and_caps_are_rejected():
+    # on equal and on different trees alike, before any search
+    a = parse_forest("((1,2),((3,4),(5,6)));")
+    b = parse_forest("((3,6),((1,4),(2,5)));")
+    for other in (a, b):
+        with pytest.raises(ValueError, match=r"^cap must be non-negative, got -1$"):
+            tbr_distance(a, other, cap=-1)
+        with pytest.raises(ValueError, match=r"^budget must be non-negative, got -1$"):
+            min_weight_cps(a, other, budget=-1)
+        with pytest.raises(ValueError, match=r"^cap must be non-negative, got -2$"):
+            _solve(a, other, cap=-2)
+    assert tbr_distance(a, a, cap=0) == 0
+    assert min_weight_cps(a, b, budget=0).status == "bounded"

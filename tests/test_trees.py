@@ -1,16 +1,13 @@
 """Core tree and forest operations."""
 
 import itertools
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cherrypick
 from cherrypick.errors import (
     DuplicateLabel,
     EmptyRestriction,
@@ -35,7 +32,7 @@ from cherrypick.trees import (
     tree_remove_leaf,
 )
 
-from util import all_topologies
+from util import all_topologies, child_env
 
 
 def tree(text):
@@ -244,7 +241,8 @@ def test_surgery_leaves_the_parent_unchanged():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cherries_are_the_leaf_pairs_with_a_common_neighbour(n):
     # by definition, on every tree with up to 8 leaves: two leaves form a
-    # cherry when they share their one neighbour or are the whole tree
+    # cherry when they share their one neighbour or are the whole tree;
+    # each label's cherry partners are its pairs there
     for t in all_topologies([str(i) for i in range(n)]):
         leaves = sorted(t.vertex_of.items())
         want = [
@@ -253,6 +251,9 @@ def test_cherries_are_the_leaf_pairs_with_a_common_neighbour(n):
             if t.adj[u] == t.adj[v] or t.adj[u] == {v}
         ]
         assert t.cherries() == want
+        for lab in t.vertex_of:
+            partners = sorted(b if a == lab else a for a, b in want if lab in (a, b))
+            assert t.cherry_partners(lab) == partners
 
 
 def test_cherries_quartet():
@@ -362,8 +363,9 @@ def test_proper_shapes_are_the_pendant_subtrees(n):
 
 def test_shape_requires_cherry():
     t = tree("((1,2),(3,4));")
-    with pytest.raises(NotACherry):
-        pendant_shapes(t, ("1", "3"))
+    for cherry in (("1", "3"), ("1", "9"), ("9", "1")):
+        with pytest.raises(NotACherry):
+            pendant_shapes(t, cherry)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +413,8 @@ def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
             print(type(exc).__name__, exc)
         """
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cherrypick.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("ValueError cycle through the edge"), proc.stdout

@@ -2,7 +2,8 @@
 label-respecting network isomorphism check, two brute-force minimum
 cherry picking sequences, a witness walk that enumerates every step, the
 whole image check of the network builder, the display enumeration
-without pruning and seeded near tree pairs.
+without pruning, seeded near tree pairs and the environment of a child
+Python process.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) or kept in their plain form, so they can
@@ -10,8 +11,11 @@ serve as oracles for the library's own code.
 """
 
 import itertools
+import os
 from collections import deque
+from pathlib import Path
 
+import cherrypick
 from cherrypick.reductions import (
     ReductionTrace,
     applicable_steps,
@@ -372,3 +376,10 @@ def displays_unpruned(network, forest):
     if place(0):
         return EmbeddingImage(tuple(found[i] for i in range(len(forest.components))))
     return None
+
+
+def child_env():
+    """The environment for a child Python process that must import this
+    checkout's cherrypick, whether or not it is installed: the tests run
+    with ``src`` on ``sys.path``, and a child does not inherit that."""
+    return dict(os.environ, PYTHONPATH=str(Path(cherrypick.__file__).parents[1]))
