@@ -46,6 +46,16 @@ EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 EXIT_INVALID = 5
 
+# The exit code of an error is that of the first row whose classes it is an
+# instance of; an error that no row names is a bug (EXIT_INTERNAL).
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (GroundSetMismatch, EXIT_MISMATCH),
+    ((CapExceeded, ScaleGuard), EXIT_BUDGET),
+    (CherryPickError, EXIT_INVALID),
+    (ValueError, EXIT_PARSE),
+)
+
 
 def _non_negative(text):
     """argparse type for node budgets and distance caps."""
@@ -75,29 +85,22 @@ def _read_pair(args):
     return F, F2
 
 
-def _write(path, text):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParseError("cannot write %s: %s" % (path, exc))
-
-
 def _write_all(outputs):
     """Write each (path, text) pair; if a write fails, remove the files
     already written, so a failed run leaves no partial output behind."""
     written = []
-    try:
-        for path, text in outputs:
-            _write(path, text)
-            written.append(path)
-    except ParseError:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
+    for path, text in outputs:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            for done in written:
+                try:
+                    os.remove(done)
+                except OSError:
+                    pass
+            raise ParseError("cannot write %s: %s" % (path, exc))
+        written.append(path)
 
 
 def _report(args, command, inputs, outcome, started, human_lines):
@@ -179,7 +182,7 @@ def _cmd_build_network(args, started):
     trace = parse_trace(_read(args.trace))
     F, F2 = _read_pair(args)
     network = build_network(F, F2, trace)
-    _write(args.out, serialize_network(network))
+    _write_all([(args.out, serialize_network(network))])
     r = reticulation_number(network)
     inputs = {"forest1": args.forest1, "forest2": args.forest2, "trace": args.trace}
     outcome = {"out": args.out, "reticulation": r}
@@ -281,22 +284,12 @@ def main(argv=None):
     started = time.monotonic()
     try:
         return args.func(args, started)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except GroundSetMismatch as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_MISMATCH
-    except (CapExceeded, ScaleGuard) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
-    except CherryPickError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except Exception as exc:  # any other failure is a bug, still reported as an exit code
+    except Exception as exc:
+        for classes, code in EXIT_CODES:
+            if isinstance(exc, classes):
+                print("error: %s" % exc, file=sys.stderr)
+                return code
+        # any other failure is a bug, still reported as an exit code
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
 

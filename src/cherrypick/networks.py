@@ -272,34 +272,29 @@ class SimplificationResult:
 
 def _suppress_degree_two(edges, labels):
     """Suppress unlabeled degree-two vertices in an edge multiset until
-    none remain.  Raises if a vertex ever carries a parallel pair, which
+    none remain.
+
+    Suppressing a vertex joins its two neighbours and leaves every other
+    degree unchanged.  So the vertices to suppress are the unlabeled
+    degree-two vertices of the input, and one pass over them in vertex
+    order, on an adjacency built once, suppresses them in the order that
+    a fresh search for the smallest one before each step would.  Raises
+    if a vertex's two edges go to one neighbour (a parallel pair), which
     cannot happen for inputs satisfying the simplification hypothesis."""
-    edges = list(edges)
-    while True:
-        deg = Counter()
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        target = None
-        for v, d in sorted(deg.items()):
-            if d == 2 and v not in labels:
-                target = v
-                break
-        if target is None:
-            return edges
-        ns = []
-        for u, v in edges:
-            if target == u:
-                ns.append(v)
-            elif target == v:
-                ns.append(u)
-        n1, n2 = ns
-        if n1 == n2:
-            raise UnsupportedConfiguration(
-                "suppression chain left the supported configuration"
-            )
-        edges = [e for e in edges if target not in e]
-        edges.append(_edge(n1, n2))
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for v in sorted(adj):
+        if len(adj[v]) == 2 and v not in labels:
+            n1, n2 = adj.pop(v)
+            if n1 == n2:
+                raise UnsupportedConfiguration(
+                    "suppression chain left the supported configuration"
+                )
+            adj[n1][adj[n1].index(v)] = n2
+            adj[n2][adj[n2].index(v)] = n1
+    return [(u, w) for u, ns in adj.items() for w in ns if u < w]
 
 
 def simplify(network):
@@ -346,10 +341,7 @@ def remove_blob_edge(network, edge):
     edges = list(network.edge_list)
     edges.remove(e)
     edges = _suppress_degree_two(edges, network.labels)
-    result = PseudoNetwork(edges, network.labels)
-    if not result.is_simple:
-        result = simplify(result).result
-    return result
+    return simplify(PseudoNetwork(edges, network.labels)).result
 
 
 def remove_pendant_blob(network, blob):

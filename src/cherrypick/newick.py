@@ -13,6 +13,7 @@ labels, with blanks between them) folded into a tree by one loop; see
 import itertools
 import json
 import re
+from collections import Counter
 
 from .errors import (
     DegreeViolation,
@@ -150,31 +151,41 @@ def serialize_forest(forest):
 
 
 def parse_network(text):
-    """Parse an edge-list network document."""
-    edge_names = []
-    lone = []
-    first_seen = {}
+    """Parse an edge-list network document in one pass over its lines.
+
+    Each vertex name gets its id, in order of first appearance, and the
+    line of its first edge; one ``Counter`` counts the copies of each
+    vertex pair and one the degree of each name.  A line that is not an
+    edge, or is a loop, is reported at once; the faults of the whole
+    document (lone lines, a third parallel edge, degrees, connectivity)
+    after the pass.  Any token is a vertex name, ``--`` included.
+    """
+    first = {}  # vertex name -> (id, line of its first edge)
+    pairs, deg = Counter(), Counter()
+    edges, lone, thirds = [], [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = content.split()
-        if len(parts) == 1 and parts[0] != "--":
+        if len(parts) == 1:
             lone.append((parts[0], line_no))
             continue
         if len(parts) != 3 or parts[1] != "--":
             raise ParseError("expected 'u -- v'", line=line_no, column=1)
-        u, v, at = parts[0], parts[2], line_no
-        for tok in (u, v):
-            if tok == "--" or "#" in tok:
-                raise ParseError("invalid vertex name %r" % tok, line=at, column=1)
-            first_seen.setdefault(tok, at)
+        u, _, v = parts
         if u == v:
-            raise ParseError("loop edge at %r" % u, line=at, column=1)
-        edge_names.append((u, v, at))
+            raise ParseError("loop edge at %r" % u, line=line_no, column=1)
+        pair = (u, v) if u < v else (v, u)
+        pairs[pair] += 1
+        if pairs[pair] == 3:
+            thirds.append((pair, line_no))
+        for name in (u, v):
+            deg[name] += 1
+            first.setdefault(name, (len(first), line_no))
+        edges.append((first[u][0], first[v][0]))
 
     if lone:
-        if edge_names or len(lone) > 1:
+        if edges or len(lone) > 1:
             raise ParseError(
                 "a lone vertex line is only valid as the whole document",
                 line=lone[0][1],
@@ -184,40 +195,20 @@ def parse_network(text):
         if not is_valid_label(name):
             raise ParseError("invalid leaf label %r" % name, line=at, column=1)
         return PseudoNetwork((), {0: name})
-    if not edge_names:
+    if not edges:
         raise ParseError("document contains no edges")
-
-    ids = {}
-    for u, v, _ in edge_names:
-        for tok in (u, v):
-            if tok not in ids:
-                ids[tok] = len(ids)
-    counts = {}
-    edges = []
-    for u, v, at in edge_names:
-        key = tuple(sorted((u, v)))
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > 2:
-            raise TripleEdge("third parallel edge %s -- %s" % key, line=at, column=1)
-        edges.append((ids[u], ids[v]))
-
-    deg = {}
-    for a, b in edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    names = {i: tok for tok, i in ids.items()}
+    if thirds:
+        pair, at = thirds[0]
+        raise TripleEdge("third parallel edge %s -- %s" % pair, line=at, column=1)
     labels = {}
-    for v, d in deg.items():
-        if d == 1:
-            if not is_valid_label(names[v]):
-                raise ParseError(
-                    "invalid leaf label %r" % names[v], line=first_seen[names[v]], column=1
-                )
-            labels[v] = names[v]
-        elif d != 3:
+    for name, (v, at) in first.items():
+        if deg[name] == 1:
+            if not is_valid_label(name):
+                raise ParseError("invalid leaf label %r" % name, line=at, column=1)
+            labels[v] = name
+        elif deg[name] != 3:
             raise DegreeViolation(
-                "vertex %r has degree %d (need 1 or 3)" % (names[v], d),
-                line=first_seen[names[v]],
+                "vertex %r has degree %d (need 1 or 3)" % (name, deg[name]), line=at
             )
     if not labels:
         raise DegreeViolation("network has no degree-one vertices to serve as leaves")

@@ -45,9 +45,15 @@ from .errors import (
     UnknownLabel,
 )
 
-# Characters that can never appear in a leaf label ('#' starts a comment in
-# the document formats).
-FORBIDDEN_LABEL_CHARS = frozenset(" \t\r\n\f\v(),;:#")
+# Characters that can never appear in a leaf label: the Newick punctuation,
+# '#' (it starts a comment in the document formats), and the 29 characters
+# for which str.isspace is true, since documents split lines and tokens at
+# them.  They are written out, not found by a scan at import.
+FORBIDDEN_LABEL_CHARS = frozenset(
+    "(),;:#"
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def is_valid_label(name):

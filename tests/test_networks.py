@@ -1,5 +1,7 @@
 """Pseudo-networks: blobs, leaf removal, simplification, blob excision."""
 
+from collections import Counter
+
 import pytest
 
 from cherrypick.errors import (
@@ -12,8 +14,10 @@ from cherrypick.errors import (
     UnknownLabel,
     UnsupportedConfiguration,
 )
+from cherrypick.generate import seeded_rng
 from cherrypick.networks import (
     PseudoNetwork,
+    _suppress_degree_two,
     blobs,
     network_from_tree,
     remove_blob_edge,
@@ -226,6 +230,60 @@ def test_simplify_rejects_single_cut_edge_blob():
     n = parse_network(doc)
     with pytest.raises(UnsupportedConfiguration):
         simplify(n)
+
+
+def has_closing_chain(edges, labels):
+    """Whether some cycle has at most one vertex that is labelled or of a
+    degree other than two: walked both ways from one of its unlabelled
+    degree-two vertices, it ends at one vertex."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    inner = {v for v, ns in adj.items() if len(ns) == 2 and v not in labels}
+    for s in inner:
+        ends = []
+        for cur in adj[s]:
+            prev = s
+            while cur in inner and cur != s:
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+            ends.append(cur)
+        if ends[0] == ends[1]:
+            return True
+    return False
+
+
+def random_multigraph(rng):
+    """A loop-free multigraph on at most 9 vertices, some of them
+    labelled, often with paths and cycles of degree-two vertices."""
+    n = rng.randint(2, 9)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+    if rng.random() < 0.5:
+        ring = rng.sample(range(n), rng.randint(2, n))
+        edges = edges[: rng.randint(0, 3)] + list(zip(ring, ring[1:] + ring[:1]))
+    labels = {v: str(v) for v in range(n) if rng.random() < 0.3}
+    return edges, labels
+
+
+def test_suppress_degree_two_property():
+    rng = seeded_rng(18)
+    raised = 0
+    for _ in range(2000):
+        edges, labels = random_multigraph(rng)
+        deg = Counter(v for e in edges for v in e)
+        try:
+            out = _suppress_degree_two(edges, labels)
+        except UnsupportedConfiguration:
+            raised += 1
+            assert has_closing_chain(edges, labels), (edges, labels)
+            continue
+        assert not has_closing_chain(edges, labels), (edges, labels)
+        left = Counter(v for e in out for v in e)
+        assert all(d != 2 or v in labels for v, d in left.items())
+        assert all(deg[v] == d for v, d in left.items())
+        assert len(out) - len(left) == len(edges) - len(deg)
+    assert 200 < raised < 1800  # both outcomes are well sampled
 
 
 # ---------------------------------------------------------------------------

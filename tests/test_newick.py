@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -32,7 +33,7 @@ from cherrypick.newick import (
     serialize_trace,
 )
 from cherrypick.reductions import RULES, ReductionStep, ReductionTrace
-from cherrypick.trees import canonical_form
+from cherrypick.trees import FORBIDDEN_LABEL_CHARS, canonical_form, is_valid_label
 
 from util import networks_isomorphic
 
@@ -137,6 +138,20 @@ def test_line_reader_faults(content, cls, message, column):
     assert str(exc.value) == "%s (line 3, column %d)" % (message, column)
 
 
+def test_whitespace_inside_a_label_is_a_positioned_error():
+    with pytest.raises(ParseError) as exc:
+        parse_forest("((a\xa0b,c),(d,e));")
+    assert (exc.value.line, exc.value.column) == (1, 3)
+    assert str(exc.value) == "invalid character in label 'a\\xa0b' (line 1, column 3)"
+
+
+def test_labels_exclude_every_whitespace_character():
+    # documents split lines and names at str.isspace characters
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert FORBIDDEN_LABEL_CHARS == spaces | set("(),;:#")
+    assert not any(is_valid_label("a%sb" % c) for c in spaces)
+
+
 def test_parse_empty_document():
     with pytest.raises(ParseError):
         parse_forest("# only a comment\n")
@@ -225,10 +240,78 @@ def test_parse_network_bad_line():
     assert exc.value.line == 1
 
 
+# Each fault of the network reader, with the line and column it is
+# reported at (None where the fault has no one place in the document).
+NETWORK_FAULTS = [
+    ("x -- u\na - b\n", ParseError, "expected 'u -- v'", 2, 1),
+    ("x -- u\nu -- v w\n", ParseError, "expected 'u -- v'", 2, 1),
+    ("x -- u\n# loop\nu -- u\n", ParseError, "loop edge at 'u'", 3, 1),
+    ("a -- b\nx\n", ParseError, "a lone vertex line is only valid as the whole document", 2, 1),
+    ("\nx\ny\n", ParseError, "a lone vertex line is only valid as the whole document", 2, 1),
+    ("# one leaf\nx:y\n", ParseError, "invalid leaf label 'x:y'", 2, 1),
+    ("# a comment\n\n  # another\n", ParseError, "document contains no edges", None, None),
+    (
+        "x -- u\ny -- v\nu -- v\nv -- u\nu -- v\nv -- u\n",
+        TripleEdge,
+        "third parallel edge u -- v",
+        5,
+        1,
+    ),
+    ("u -- q\nr -- u\n\nu -- a,b\n", ParseError, "invalid leaf label 'a,b'", 4, 1),
+    ("# path\nx -- u\nu -- y\n", DegreeViolation, "vertex 'u' has degree 2 (need 1 or 3)", 2, None),
+    (
+        "a -- b\na -- c\na -- d\nb -- c\nb -- d\nc -- d\n",
+        DegreeViolation,
+        "network has no degree-one vertices to serve as leaves",
+        None,
+        None,
+    ),
+    (
+        "a -- x\na -- y\na -- z\nb -- p\nb -- q\nb -- r\n",
+        Disconnected,
+        "network document describes a disconnected graph",
+        None,
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, cls, message, line, column", NETWORK_FAULTS)
+def test_network_reader_faults(doc, cls, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_network(doc)
+    assert type(exc.value) is cls
+    assert (exc.value.line, exc.value.column) == (line, column)
+    where = "" if line is None else " (line %d%s)" % (line, "" if column is None else ", column %d" % column)
+    assert str(exc.value) == message + where
+
+
 def test_single_vertex_network_round_trip():
     n = parse_network("x\n")
     assert n.num_vertices == 1
     assert serialize_network(n) == "x\n"
+
+
+def test_a_leaf_named_dashes_survives_a_network_document(tmp_path):
+    # '--' is a valid label, so what `hybrid --network-out` writes for it
+    # reads back, and `displays` finds both inputs in it
+    forests = ["((--,a),(b,c));\n", "((--,b),(a,c));\n"]
+    paths = [str(tmp_path / name) for name in ("f1.nwk", "f2.nwk", "net.txt")]
+    for path, text in zip(paths, forests):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["hybrid", "--forest1", paths[0], "--forest2", paths[1]]
+        assert main(argv + ["--network-out", paths[2]]) == 0
+        for path in paths[:2]:
+            assert main(["displays", "--network", paths[2], "--forest", path]) == 0
+    assert out.getvalue().split() == ["1", "yes", "yes"]
+    with open(paths[2], encoding="utf-8") as fh:
+        network = parse_network(fh.read())
+    assert "--" in network.leaf_labels
+    lone = parse_network("--\n")
+    assert lone.labels == {0: "--"} and serialize_network(lone) == "--\n"
 
 
 def test_network_round_trip_four_cycle():

@@ -1,7 +1,9 @@
 """Greedy construction and exact minimum-weight search."""
 
+import re
 import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -450,3 +452,13 @@ def test_negative_budgets_and_caps_are_rejected():
             _solve(a, other, cap=-2)
     assert tbr_distance(a, a, cap=0) == 0
     assert min_weight_cps(a, b, budget=0).status == "bounded"
+
+
+# ---------------------------------------------------------------------------
+# the README's library example
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
