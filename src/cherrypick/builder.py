@@ -41,13 +41,10 @@ always reported by the whole pass, so the message names the first fault
 in its order.
 """
 
-from itertools import compress
-from operator import is_not
-
 from .errors import ImageTrackingError
 from .networks import PseudoNetwork, reticulation_number
 from .reductions import replay_trace
-from .trees import Forest, PhyloTree, _edge
+from .trees import Forest, PhyloTree, _changed, _edge
 
 # Below this many network vertices the whole image check is cheaper than
 # keeping the index that the incremental one reads and writes.
@@ -166,7 +163,7 @@ class _Seen:
         adj, labels = self.adj, self.labels
         for t in changed:
             tadj, tlabels = t.adj, t.labels
-            for v in list(compress(tadj, map(is_not, tadj.values(), map(adj.get, tadj)))):
+            for v in _changed(tadj, adj):
                 ns = tadj[v]
                 if v in adj:
                     for w in adj[v] - ns:
@@ -174,7 +171,7 @@ class _Seen:
                 edges.update(_edge(v, w) for w in ns)
                 adj[v] = ns
                 verts.add(v)
-            for v in list(compress(tlabels, map(is_not, tlabels.values(), map(labels.get, tlabels)))):
+            for v in _changed(tlabels, labels):
                 labels[v] = tlabels[v]
                 verts.add(v)
         self.trees = live

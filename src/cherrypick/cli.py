@@ -233,8 +233,12 @@ def make_parser():
     p = sub.add_parser("hybrid", help="minimum cherry picking weight of two forests")
     p.add_argument("--forest1", required=True)
     p.add_argument("--forest2", required=True)
-    p.add_argument("--trace-out")
-    p.add_argument("--network-out")
+    unwritten = (
+        "; a bounded run (exit 4) writes no file: a failed run leaves no partial "
+        "output, and its witness is the greedy trace at the upper bound, not a minimum"
+    )
+    p.add_argument("--trace-out", help="write the lexicographically least optimal trace" + unwritten)
+    p.add_argument("--network-out", help="write a network rebuilt from that optimal trace" + unwritten)
     p.add_argument(
         "--budget",
         type=_non_negative,

@@ -283,17 +283,7 @@ def parse_trace(text):
                 "step %d (%s) has cut %r, expected one of %s"
                 % (i, rule, params["cut"], list(cuts))
             )
-        steps.append(
-            ReductionStep(
-                label=label,
-                rule=rule,
-                orientation=orientation,
-                y=params.get("y"),
-                p=params.get("p"),
-                q=params.get("q"),
-                cut=params.get("cut"),
-            )
-        )
+        steps.append(ReductionStep(label=label, rule=rule, orientation=orientation, **params))
     return ReductionTrace(tuple(steps))
 
 

@@ -26,8 +26,10 @@ partner in the orientation's first forest A (B is the other forest):
 
 ``_pair_moves`` states the C1/C2 side conditions once: ``legal_moves``
 enumerates every legal step with it, and ``check_step`` looks a step up
-in it.  C1 and both-singleton C3 steps, whose two orientations have
-identical effect, are enumerated with forward orientation only.
+in it.  ``_isolated_moves`` lists the C3 steps for ``legal_moves`` and
+for the search's free step.  C1 and both-singleton C3 steps, whose two
+orientations have identical effect, are enumerated with forward
+orientation only.
 """
 
 from dataclasses import dataclass
@@ -71,6 +73,9 @@ RULE_PARAMS = {
 }
 RULES = tuple(RULE_PARAMS)
 C2_RULES = frozenset(r for r in RULES if r.startswith("C2"))
+# a step's optional fields, in the order steps sort and print by; each
+# rule's RULE_PARAMS entry names the ones its steps carry
+STEP_PARAMS = ("y", "p", "q", "cut")
 
 
 @dataclass(frozen=True)
@@ -88,26 +93,12 @@ class ReductionStep:
         return 1 if self.rule in C2_RULES else 0
 
     def sort_key(self):
-        return (
-            self.rule,
-            self.label,
-            self.y or "",
-            self.p or "",
-            self.q or "",
-            self.cut or "",
-            self.orientation,
-        )
+        params = (getattr(self, k) or "" for k in STEP_PARAMS)
+        return (self.rule, self.label, *params, self.orientation)
 
     def describe(self):
         bits = [self.rule, self.label]
-        if self.y:
-            bits.append("y=%s" % self.y)
-        if self.p:
-            bits.append("p=%s" % self.p)
-        if self.q:
-            bits.append("q=%s" % self.q)
-        if self.cut:
-            bits.append("cut=%s" % self.cut)
+        bits += ["%s=%s" % (k, getattr(self, k)) for k in STEP_PARAMS if getattr(self, k)]
         if self.orientation == "reversed":
             bits.append("reversed")
         return " ".join(bits)
@@ -144,6 +135,14 @@ def labels_of(trace):
 
 def _sides(F, F2, orientation):
     return (F, F2) if orientation == "forward" else (F2, F)
+
+
+def _check_labels(F, F2):
+    """Reject a pair of forests on different label sets.  A step keeps
+    the two label sets equal, so the entry points (``apply_step``,
+    ``legal_moves``, ``replay_trace``) check this once per call."""
+    if F.ground_set != F2.ground_set:
+        raise GroundSetMismatch("forests are on different label sets")
 
 
 def _pair_moves(A, B, x, y, orientation):
@@ -215,10 +214,9 @@ def check_step(F, F2, step):
     index, edge) for the C2 family, where side 0 cuts the first forest.
     Parameters the rule does not use are ignored, and a C2a_iii step may
     name p and q in either order.  Raises InapplicableStep naming the
-    violated side condition.
+    violated side condition.  The forests must share their label set,
+    which the entry points check (see ``_check_labels``).
     """
-    if F.ground_set != F2.ground_set:
-        raise GroundSetMismatch("forests are on different label sets")
     x, rule, orientation = step.label, step.rule, step.orientation
     if x not in F.ground_set:
         raise InapplicableStep("label %r is not in the ground set" % (x,))
@@ -284,6 +282,7 @@ def apply_action(F, F2, action):
 
 def apply_step(F, F2, step):
     """Check a step and apply it; returns (F', F2')."""
+    _check_labels(F, F2)
     nF, nF2, _ = apply_action(F, F2, check_step(F, F2, step))
     return nF, nF2
 
@@ -292,11 +291,23 @@ def apply_step(F, F2, step):
 # enumeration
 
 
+def _isolated_moves(F, F2):
+    """The C3 steps of a state, one per one-vertex component, paired with
+    their actions, in label order: forward when x is isolated in F,
+    otherwise reversed."""
+    moves = {}
+    for forest, orientation in ((F2, "reversed"), (F, "forward")):
+        for t in forest.components:
+            if t.num_vertices == 1:
+                (x,) = t.vertex_of
+                moves[x] = (ReductionStep(x, "C3", orientation), ("drop", x))
+    return [moves[x] for x in sorted(moves)]
+
+
 def legal_moves(F, F2):
     """Every step legal at a state, paired with its resolved action, in
     step order.  Terminal states (one label left) admit no steps."""
-    if F.ground_set != F2.ground_set:
-        raise GroundSetMismatch("forests are on different label sets")
+    _check_labels(F, F2)
     if not F.ground_set:
         raise GroundSetMismatch("forests are empty")
     if len(F.ground_set) == 1:
@@ -307,11 +318,7 @@ def legal_moves(F, F2):
         for a, b in A.cherries():
             moves.extend(_pair_moves(A, B, a, b, orientation))
             moves.extend(_pair_moves(A, B, b, a, orientation))
-    for lab in F.ground_set:
-        if F.is_singleton(lab):
-            moves.append((ReductionStep(lab, "C3", "forward"), ("drop", lab)))
-        elif F2.is_singleton(lab):
-            moves.append((ReductionStep(lab, "C3", "reversed"), ("drop", lab)))
+    moves.extend(_isolated_moves(F, F2))
     moves.sort(key=lambda move: move[0].sort_key())
     return moves
 
@@ -365,8 +372,7 @@ def replay_trace(F, F2, trace):
     few C-level tests of the whole tree, and the whole pass runs
     whenever the certificate cannot prove the tree valid, so a faulty
     tree fails with the same error either way."""
-    if F.ground_set != F2.ground_set:
-        raise GroundSetMismatch("forests are on different label sets")
+    _check_labels(F, F2)
     _check_trees(F, F2)
     states = [(F, F2)]
     records = []
@@ -376,7 +382,7 @@ def replay_trace(F, F2, trace):
         try:
             cur_F, cur_F2, rec = apply_action(cur_F, cur_F2, check_step(cur_F, cur_F2, step))
             _check_new_trees(states[-1], (cur_F, cur_F2))
-        except (InapplicableStep, GroundSetMismatch, DuplicateLabel, ValueError) as exc:
+        except (InapplicableStep, DuplicateLabel, ValueError) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost
         states.append((cur_F, cur_F2))

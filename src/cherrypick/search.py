@@ -20,6 +20,7 @@ from .errors import CapExceeded, GroundSetMismatch, NotATree
 from .reductions import (
     ReductionStep,
     ReductionTrace,
+    _isolated_moves,
     _pair_moves,
     _path_end_edges,
     applicable_steps,
@@ -89,16 +90,8 @@ def _free_step(F, F2, cherries):
     for a, b in cherries:
         if F2.has_cherry((a, b)):
             return ReductionStep(a, "C1", "forward", y=b)
-    singles = [
-        (next(iter(t.vertex_of)), orientation)
-        for forest, orientation in ((F, "forward"), (F2, "reversed"))
-        for t in forest.components
-        if t.num_vertices == 1
-    ]
-    if singles:
-        label, orientation = min(singles)
-        return ReductionStep(label, "C3", orientation)
-    return None
+    isolated = _isolated_moves(F, F2)
+    return isolated[0][0] if isolated else None
 
 
 def _greedy_pick(F, F2):
@@ -275,9 +268,19 @@ class _Searcher:
         return None
 
     def _store(self, key, best, exact):
-        old = self.memo.get(key)
-        if old is None or (exact and not old[1]) or (not exact and not old[1] and best > old[0]):
-            self.memo[key] = (best, exact)
+        """Record a state's result; the write never loses information:
+
+        * every write follows a lookup miss on the same key at the same
+          cutoff (``residual`` stores the keys of its chain once it has
+          their value);
+        * a miss means there is no entry, or a non-exact bound below
+          that cutoff;
+        * the new entry is exact, or equals the cutoff, so it supersedes
+          the old one;
+        * no descendant shares the key, because each step drops a label
+          or adds a component, so nothing wrote the key in between.
+        """
+        self.memo[key] = (best, exact)
 
     def residual(self, F, F2, cutoff):
         """min(true residual weight, cutoff); exact when below cutoff.

@@ -35,7 +35,8 @@ needs to track edge images.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import is_not
 
 from .errors import (
     DuplicateLabel,
@@ -62,6 +63,14 @@ def is_valid_label(name):
 
 def _edge(u, v):
     return (u, v) if u < v else (v, u)
+
+
+def _changed(d, ref):
+    """The keys of `d` whose value is not the very object `ref` holds
+    for them, as a list in `d`'s order.  Surgery shares a parent's
+    frozensets, so against the parent's adjacency these are the vertices
+    it changed; the comparison runs in C."""
+    return list(compress(d, map(is_not, d.values(), map(ref.get, d))))
 
 
 def _reach(adj, root, avoid=None):
@@ -162,7 +171,7 @@ class PhyloTree:
         ):
             return False
         new_edges = set()
-        for v in [v for v, ns in adj.items() if b_adj.get(v) is not ns]:
+        for v in _changed(adj, b_adj):
             ns = adj[v]
             if v not in b_adj or v in ns or (len(ns) > 1 if v in labels else len(ns) != 3):
                 return False
@@ -494,8 +503,6 @@ def restrict(tree, keep):
     queue = deque(v for v, ns in adj.items() if len(ns) <= 1 and v not in keep_vs)
     while queue:
         v = queue.popleft()
-        if v not in adj:
-            continue
         ns = adj.pop(v)
         for w in ns:
             adj[w].discard(v)

@@ -89,6 +89,30 @@ def test_steps_three_leaf_star_with_singleton():
     assert set(got) == want and len(steps) == len(want)
 
 
+def test_c3_steps_come_from_the_isolated_vertices_of_either_forest():
+    # 1 is isolated in F only, 2 in F2 only and 3 in both: a label
+    # isolated in F is dropped forward, else reversed, and the two
+    # orientations of 3, which have one effect, give one step
+    F, F2 = state("1;\n3;\n(2,(4,5));", "2;\n3;\n(1,(4,5));")
+    assert [move for move in legal_moves(F, F2) if move[0].rule == "C3"] == [
+        (ReductionStep("1", "C3", "forward"), ("drop", "1")),
+        (ReductionStep("2", "C3", "reversed"), ("drop", "2")),
+        (ReductionStep("3", "C3", "forward"), ("drop", "3")),
+    ]
+    # the same rule, label by label, on seeded forest pairs
+    rng = seeded_rng(1919)
+    for n in range(3, 9):
+        labels = [str(i) for i in range(1, n + 1)]
+        for _ in range(8):
+            F, F2 = random_forest_pair(labels, rng.randint(1, n), rng)
+            want = [
+                ReductionStep(x, "C3", "forward" if F.is_singleton(x) else "reversed")
+                for x in sorted(F.ground_set)
+                if F.is_singleton(x) or F2.is_singleton(x)
+            ]
+            assert [s for s in applicable_steps(F, F2) if s.rule == "C3"] == want
+
+
 def test_steps_terminal_state_empty():
     F, F2 = state("x;", "x;")
     assert applicable_steps(F, F2) == []
@@ -194,6 +218,11 @@ def test_check_step_generic_faults(step, message):
         replay_trace(F, F2, ReductionTrace((step,)))
     assert exc.value.step_index == 0
     assert exc.value.reason == "%s: %s" % (step.describe(), message)
+
+
+def test_describe_names_every_parameter_and_the_orientation():
+    step = ReductionStep("1", "C2a_iii", "reversed", y="2", p="3", q="4", cut="e_pq")
+    assert step.describe() == "C2a_iii 1 y=2 p=3 q=4 cut=e_pq reversed"
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,37 @@ def test_search_states_are_the_inputs_restricted_to_their_partition(monkeypatch)
         assert result.status == "exact" and (result.min_weight == 0 or seen)
 
 
+def test_memo_writes_never_lose_information(monkeypatch):
+    # the invariant that lets _Searcher._store write unconditionally: a
+    # write replaces nothing, or replaces a non-exact bound with a larger
+    # value or with an exact entry
+    class Memo(dict):
+        def __setitem__(self, key, entry):
+            old = self.get(key)
+            assert old is None or (not old[1] and (entry[1] or entry[0] > old[0])), (old, entry)
+            replaced.append(old is not None)
+            super().__setitem__(key, entry)
+
+    init = _Searcher.__init__
+
+    def spied(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.memo = Memo()
+
+    monkeypatch.setattr(_Searcher, "__init__", spied)
+    replaced = []
+    pairs = []
+    for n in range(4, 10):
+        labels = [str(i) for i in range(1, n + 1)]
+        for k in range(60):
+            rng = seeded_rng(1000 * n + k)
+            pairs.append((random_forest(labels, 1 + k % 3, rng), random_forest(labels, 1 + k % 3, rng)))
+    pairs.extend(near_pair(30, 5, s) for s in (0, 1))
+    for F, F2 in pairs:
+        assert min_weight_cps(F, F2).status == "exact"
+    assert any(replaced) and not all(replaced)
+
+
 def test_value_only_solve_renders_no_tree(monkeypatch):
     # the search keys its states by label partition and greedy compares
     # no trees, so a value-only solve reads no canonical form
