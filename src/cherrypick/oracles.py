@@ -3,13 +3,19 @@
 Two oracles cross-check the picking calculus at desk scale: exact TBR
 distance by breadth-first search over the move graph of unrooted binary
 trees, and display checking by exhaustive backtracking over subdivision
-embeddings with the leaf map fixed.  Both are deliberately simple and
-share no code with the search, the reduction rules or the network
-builder they judge, nor with the surgery and the parser.  They share
-only the tree values: trees are ``PhyloTree`` values compared by their
-canonical Newick form, and a TBR move splits a tree into the
-restrictions to the two leaf sets of the cut edge.  The ``cherrypick
-tbr`` command runs the exact solver, not this BFS.
+embeddings with the leaf map fixed.  The display search prunes only
+branches that cannot complete: it places an internal tree vertex only at
+a network vertex with two free neighbours, and goes deeper only while
+every leaf on the vertex's far side stays reachable from it through
+unused unlabelled vertices, since the image of that side is connected,
+avoids every used vertex and passes through no leaf.  Its verdicts and
+witnesses are those of the plain backtracking.  Both oracles are
+deliberately simple and share no code with the search, the reduction
+rules or the network builder they judge, nor with the surgery and the
+parser.  They share only the tree values: trees are ``PhyloTree``
+values compared by their canonical Newick form, and a TBR move splits a
+tree into the restrictions to the two leaf sets of the cut edge.  The
+``cherrypick tbr`` command runs the exact solver, not this BFS.
 """
 
 from collections import deque
@@ -178,9 +184,36 @@ def _embed_tree(network, neighbors, tree, used):
                 order.append((v, w))
                 queue.append(w)
 
+    # the network leaves of each tree vertex's far side from the anchor,
+    # gathered in one reverse pass over the edge order
+    far = {v: [] for v in tree.adj}
+    for v, label in tree.labels.items():
+        far[v].append(network.vertex_of[label])
+    for a, b in reversed(order):
+        far[a].extend(far[b])
+
     phi = {anchor_v: net_anchor}
     paths = {}
     used.add(net_anchor)
+
+    def reaches_all(start, leaves):
+        """Whether every network leaf in `leaves` is reachable from
+        `start` through unlabelled network vertices that are not used."""
+        pending = set(leaves)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in neighbors[stack.pop()]:
+                if w in seen or w in used:
+                    continue
+                seen.add(w)
+                if w in network.labels:
+                    pending.discard(w)
+                    if not pending:
+                        return True
+                else:
+                    stack.append(w)
+        return not pending
 
     def candidate_paths(start, target):
         """Simple paths from `start` avoiding used vertices; when `target`
@@ -234,7 +267,9 @@ def _embed_tree(network, neighbors, tree, used):
             fresh = path[1:]
             used.update(fresh)
             paths[_edge(a, b)] = list(path) if a < b else list(reversed(path))
-            yield from place(idx + 1)
+            # the far-leaf prune; ``displays`` states why it is sound
+            if target is not None or reaches_all(phi[b], far[b]):
+                yield from place(idx + 1)
             del paths[_edge(a, b)]
             for v in fresh:
                 used.discard(v)
@@ -248,9 +283,17 @@ def displays(network, forest):
     """A witness embedding if the network displays the forest (vertex
     disjoint subdivision images, leaf x mapped to leaf x), else None.
 
-    Exhaustive backtracking guarded to desk scale: a network above
-    ``DISPLAY_MAX_VERTICES`` (40) vertices raises ScaleGuard, and forest
-    labels missing from the network raise GroundSetMismatch.
+    Exhaustive backtracking that skips only branches which would fail.
+    An internal tree vertex ends only at a network vertex w with two free
+    neighbours, and is expanded only if every leaf of its far subtree
+    (seen from the anchor leaf) is reachable from w through unused
+    unlabelled vertices: that subtree's image is connected, holds w,
+    avoids every used vertex and passes through no leaf.  So the first
+    witness found, or None, is the one the plain backtracking gives.
+
+    Guarded to desk scale: a network above ``DISPLAY_MAX_VERTICES`` (40)
+    vertices raises ScaleGuard, and forest labels missing from the
+    network raise GroundSetMismatch.
     """
     if network.num_vertices > DISPLAY_MAX_VERTICES:
         raise ScaleGuard(

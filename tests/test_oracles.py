@@ -257,3 +257,78 @@ def test_displays_finds_the_witness_of_the_unpruned_search():
             assert witness == displays_unpruned(net, forest)
             found.append(witness is not None)
     assert any(found) and not all(found)
+
+
+EDGE_CASE_NETWORKS = {
+    "four-cycle": FOUR_CYCLE,
+    # the tree ((1,2),((3,4),5))
+    "five-leaf-tree": "1 -- a\n2 -- a\na -- b\nb -- c\nc -- 3\nc -- 4\nb -- 5\n",
+    # a pseudo-network on four leaves whose middle edge is doubled
+    "parallel": "1 -- a\n2 -- a\na -- b\nb -- c\nb -- c\nc -- d\nd -- 3\nd -- 4\n",
+    "parallel-only": "x -- u\ny -- v\nu -- v\nu -- v\n",
+}
+
+
+@pytest.mark.parametrize(
+    "network_name, forest_text, shown",
+    [
+        ("four-cycle", "((1,3),(2,4));", False),
+        ("four-cycle", "((1,2),(3,4));", True),
+        ("four-cycle", "((1,2),3);\n4;", True),
+        ("four-cycle", "(1,3);\n(2,4);", False),
+        ("four-cycle", "(1,2);\n3;\n4;", True),
+        ("four-cycle", "1;\n2;\n3;\n4;", True),
+        ("five-leaf-tree", "(1,2);\n(3,4);\n5;", True),
+        ("five-leaf-tree", "(1,3);\n(2,4);\n5;", False),
+        ("five-leaf-tree", "((1,2),(3,4));", True),
+        ("five-leaf-tree", "((1,3),(2,4));", False),
+        ("five-leaf-tree", "(1,5);\n3;", True),
+        ("five-leaf-tree", "((1,3),5);\n(2,4);", False),
+        ("parallel", "((1,2),(3,4));", True),
+        ("parallel", "((1,3),(2,4));", False),
+        ("parallel", "(1,3);\n(2,4);", False),
+        ("parallel", "(1,4);\n2;", True),
+        ("parallel-only", "(x,y);", True),
+        ("parallel-only", "x;\ny;", True),
+    ],
+)
+def test_displays_edge_cases_match_the_unpruned_search(network_name, forest_text, shown):
+    # the no quartet, isolated components, three or more components,
+    # forests on a strict subset of the labels, and doubled edges: the
+    # pruned search returns the plain backtracking's witness, or None
+    network = parse_network(EDGE_CASE_NETWORKS[network_name])
+    forest = parse_forest(forest_text)
+    witness = displays(network, forest)
+    assert witness == displays_unpruned(network, forest)
+    assert (witness is not None) == shown
+
+
+@pytest.mark.slow
+def test_displays_finds_the_witness_of_the_unpruned_search_at_scale():
+    # 600 networks at n = 9..12 within the size guard, from greedy and
+    # exact traces in turn, each checked on both forests and on a random
+    # third forest; the plain backtracking takes about 0.5 s per network
+    from cherrypick.builder import build_network
+    from cherrypick.generate import random_forest
+    from cherrypick.search import greedy_cps, min_weight_cps
+
+    rng = seeded_rng(3232)
+    networks = drawn = 0
+    found = []
+    while networks < 600:
+        n = rng.randint(9, 12)
+        labels = [str(i) for i in range(1, n + 1)]
+        k = rng.randint(1, 3)
+        F, F2 = random_forest(labels, k, rng), random_forest(labels, k, rng)
+        third = random_forest(labels, rng.randint(1, 3), rng)
+        drawn += 1
+        trace = greedy_cps(F, F2) if drawn % 2 else min_weight_cps(F, F2).witness
+        net = build_network(F, F2, trace)
+        if net.num_vertices > DISPLAY_MAX_VERTICES:
+            continue
+        networks += 1
+        for forest in (F, F2, third):
+            witness = displays(net, forest)
+            assert witness == displays_unpruned(net, forest)
+            found.append(witness is not None)
+    assert any(found) and not all(found)

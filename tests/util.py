@@ -270,10 +270,12 @@ def verify_images_in_full(state, pair):
 
 
 def displays_unpruned(network, forest):
-    """``oracles.displays`` without its guards and without pruning: the
-    same backtracking over subdivision embeddings, trying every end vertex
-    for every internal tree vertex, so its first witness is the one the
-    pruned search must find."""
+    """``oracles.displays`` without its guards and with neither of its
+    prunes (the two free neighbours of an internal end vertex, and the
+    reachability of a placed vertex's far leaves): the same backtracking
+    over subdivision embeddings, trying every end vertex for every
+    internal tree vertex and going deeper from each, so its first witness
+    is the one the pruned search must find."""
 
     def embed_tree(tree, used):
         if tree.num_vertices == 1:
