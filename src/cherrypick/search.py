@@ -26,6 +26,7 @@ from .reductions import (
     applicable_steps,
     apply_action,
     apply_step,
+    check_step,
 )
 
 
@@ -95,31 +96,35 @@ def _free_step(F, F2, cherries):
 
 
 def _greedy_pick(F, F2):
-    """Choose the next step(s) following the existence argument: take the
-    first free C1/C3 step, otherwise cut the pendant edge of a leaf of the
-    first cherry and then drop that leaf, giving the (x, x, ...) pattern."""
+    """Choose the next step(s) following the existence argument, each
+    paired with its resolved action: take the first free C1/C3 step,
+    otherwise cut the pendant edge of a leaf of the first cherry and then
+    drop that leaf, giving the (x, x, ...) pattern."""
     cherries = F.cherries()
     free = _free_step(F, F2, cherries)
     if free is not None:
-        return [free]
+        return [(free, ("drop", free.label))]
     # F has no isolated vertex, so it has a cherry; with no free step, one
-    # of its orderings has C2 moves, and the first of them cuts e_x
+    # of its orderings has C2 moves, and the first of them cuts e_x in F,
+    # which leaves x an isolated vertex of F
     x, y = cherries[0]
-    cut, _ = next(chain(_pair_moves(F, F2, x, y, "forward"), _pair_moves(F, F2, y, x, "forward")))
-    return [cut, ReductionStep(cut.label, "C3", "forward")]
+    cut = next(chain(_pair_moves(F, F2, x, y, "forward"), _pair_moves(F, F2, y, x, "forward")))
+    label = cut[0].label
+    return [cut, (ReductionStep(label, "C3", "forward"), ("drop", label))]
 
 
 def greedy_cps(F, F2):
     """A valid cherry picking sequence for any pair of forests on the same
     labels, of length at least |X|; weight 0 whenever only C1/C3 steps are
-    needed."""
+    needed.  Every step comes from ``_free_step`` or ``_pair_moves`` with
+    its action resolved, so greedy applies that action without a check."""
     if F.ground_set != F2.ground_set or not F.ground_set:
         raise GroundSetMismatch("forests must share a non-empty label set")
     steps = []
     cur_F, cur_F2 = F, F2
     while len(cur_F.ground_set) > 1:
-        for step in _greedy_pick(cur_F, cur_F2):
-            cur_F, cur_F2 = apply_step(cur_F, cur_F2, step)
+        for step, action in _greedy_pick(cur_F, cur_F2):
+            cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, action)
             steps.append(step)
     (terminal,) = cur_F.ground_set
     return ReductionTrace(tuple(steps), terminal=terminal)
@@ -143,6 +148,33 @@ def _cherry_moves(F, F2, cherry):
     if F2.component_index(y) == b_comp:
         actions.extend(("cut", 1, b_comp, e) for e in _path_end_edges(F2.components[b_comp], x, y))
     return actions
+
+
+def _walk_moves(F, F2):
+    """Every legal move of a state, paired with its resolved action, in
+    the order of ``legal_moves``, listed lazily for the witness walk.
+
+    C1 and C2a_i sort before every other rule, so the sorted C1 and C2a_i
+    moves of every ordered cherry, in both orientations, are the head of
+    ``legal_moves``.  They are read off the start of each ``_pair_moves``
+    generator, which is left before its pendant-shape search.  The rest
+    follow in the order of ``applicable_steps``, each with the action
+    ``check_step`` resolves for it.
+    """
+    head = []
+    for orientation, A, B in (("forward", F, F2), ("reversed", F2, F)):
+        for a, b in A.cherries():
+            for x, y in ((a, b), (b, a)):
+                for step, action in _pair_moves(A, B, x, y, orientation):
+                    if step.rule not in ("C1", "C2a_i"):
+                        break
+                    head.append((step, action))
+                    if step.cut == "e_y":  # the last C2a_i move of (x, y)
+                        break
+    head.sort(key=lambda move: move[0].sort_key())
+    yield from head
+    for step in applicable_steps(F, F2)[len(head):]:
+        yield step, check_step(F, F2, step)
 
 
 class _Searcher:
@@ -226,8 +258,28 @@ class _Searcher:
       each in ``sort_key`` order).
 
     Elsewhere a C2 step can sort before the free C3 step and keep the
-    value as well, so the walk enumerates the checked
-    ``applicable_steps`` and asks the search for each child's value.
+    value as well, so the walk tries the moves of ``_walk_moves``, which
+    lists them in the order of ``legal_moves``, and asks the search for
+    each child's value.  Three things keep that cheap:
+
+    * The C2a_i moves come first and need no pendant-shape or path
+      search.  The walk enumerates only at a state without a C1 step,
+      and there the C2a_i moves are the head of ``legal_moves``: its
+      order sorts by rule first, and "C2a_i" sorts before every other C2
+      rule and before "C3".  The rest of ``applicable_steps`` is listed
+      only when none of them keeps the value.
+    * A probe drops every isolated label of the child before asking
+      ``residual``.  Each drop is a legal C3 step, and a free step keeps
+      the value (see above), so the answer is unchanged; the dropped
+      child is the state the search itself reaches after a cut, whose
+      value the memo often holds already.
+    * A probe applies its move's resolved action unchecked: a C2a_i
+      move comes with its action, and only a fallback move has its
+      action resolved by ``check_step``, since ``applicable_steps``
+      lists steps alone.  The chosen step then goes through the checked
+      ``apply_step``, so every step of the witness is checked before
+      ``hybrid --trace-out`` writes it, whether or not anything replays
+      the trace.
 
     The memo key of a state is the label partition of each forest, never
     a rendering of its trees.  Steps only cut edges and drop leaves, and
@@ -324,6 +376,16 @@ class _Searcher:
                 break
         return best
 
+    def _probe(self, F, F2, action, cutoff):
+        """``residual`` of the child that `action` makes, with its
+        isolated labels dropped first (see the class doc); one label
+        stays when every label is isolated."""
+        F, F2, _ = apply_action(F, F2, action)
+        isolated = _isolated_moves(F, F2)
+        for _, drop in isolated[: len(F.ground_set) - 1]:
+            F, F2, _ = apply_action(F, F2, drop)
+        return self.residual(F, F2, cutoff)
+
     def witness(self, F, F2, weight):
         """The lexicographically least optimal trace, by always taking the
         first step (in enumeration order) that preserves optimality; a
@@ -338,16 +400,15 @@ class _Searcher:
                 continue
             # here need >= 1 (a state of value 0 has a free step) and a
             # step costs at most one, so every step fits
-            for step in applicable_steps(cur_F, cur_F2):
-                cost = step.cost
-                nF, nF2 = apply_step(cur_F, cur_F2, step)
-                rest = self.residual(nF, nF2, need - cost + 1)
-                if rest == need - cost:
-                    steps.append(step)
-                    cur_F, cur_F2, need = nF, nF2, need - cost
+            for step, action in _walk_moves(cur_F, cur_F2):
+                rest = need - step.cost
+                if self._probe(cur_F, cur_F2, action, rest + 1) == rest:
                     break
             else:  # pragma: no cover - a valid minimum always has a step
                 raise AssertionError("no step preserves the optimal weight")
+            cur_F, cur_F2 = apply_step(cur_F, cur_F2, step)
+            steps.append(step)
+            need = rest
         (terminal,) = cur_F.ground_set
         return ReductionTrace(tuple(steps), terminal=terminal)
 

@@ -29,16 +29,21 @@ def test_tree_constructor_takes_adj_and_labels():
     assert list(inspect.signature(PhyloTree.__init__).parameters) == ["self", "adj", "labels"]
 
 
-def test_traced_search_and_replay_reach_the_wrapped_names():
-    tracer_module = load_tracer()
-    F = cherrypick.parse_forest("((1,2),(3,4));")
-    F2 = cherrypick.parse_forest("((1,3),(2,4));")
+def traced_calls(tracer_module, first, second):
+    """Span call counts and tree builds of a traced exact search and
+    network rebuild on one forest pair."""
+    F, F2 = cherrypick.parse_forest(first), cherrypick.parse_forest(second)
     with tracer_module.installed(tracer_module.Tracer()) as tracer:
         result = cherrypick.min_weight_cps(F, F2)
         cherrypick.build_network(F, F2, result.witness)
-    calls = {name: row[0] for name, row in tracer.table()[0].items()}
+    return {name: row[0] for name, row in tracer.table()[0].items()}, tracer.counts["trees.tree_builds"]
+
+
+def test_traced_search_and_replay_reach_the_wrapped_names():
+    tracer_module = load_tracer()
+    # the quartet's walk settles on a C2a_i step, so it lists no other step
+    calls, tree_builds = traced_calls(tracer_module, "((1,2),(3,4));", "((1,3),(2,4));")
     for span in (
-        "reductions.applicable_steps",
         "reductions.apply_step",
         "reductions.check_step",
         "reductions.replay_trace",
@@ -46,4 +51,9 @@ def test_traced_search_and_replay_reach_the_wrapped_names():
         "trees.remove_edge_traced",
     ):
         assert calls.get(span, 0) > 0, span
-    assert tracer.counts["trees.tree_builds"] > 0
+    assert tree_builds > 0
+    # this pair's witness starts with a C2a_ii step, so the walk falls
+    # back to the rest of applicable_steps
+    calls, _ = traced_calls(tracer_module, "((((4,6),3),(2,5)),1);", "(((((3,6),4),5),2),1);")
+    for span in ("reductions.applicable_steps", "reductions.apply_step"):
+        assert calls.get(span, 0) > 0, span

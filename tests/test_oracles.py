@@ -307,7 +307,8 @@ def test_displays_edge_cases_match_the_unpruned_search(network_name, forest_text
 def test_displays_finds_the_witness_of_the_unpruned_search_at_scale():
     # 600 networks at n = 9..12 within the size guard, from greedy and
     # exact traces in turn, each checked on both forests and on a random
-    # third forest; the plain backtracking takes about 0.5 s per network
+    # third forest; the test took 1,037 s (about 1.7 s per network) on a
+    # shared 2-vCPU host, nearly all of it the plain backtracking
     from cherrypick.builder import build_network
     from cherrypick.generate import random_forest
     from cherrypick.search import greedy_cps, min_weight_cps

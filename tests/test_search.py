@@ -11,11 +11,18 @@ from cherrypick.errors import CapExceeded, GroundSetMismatch, NotATree
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, serialize_trace
 from cherrypick.oracles import tbr_neighbors
-from cherrypick.reductions import apply_action, labels_of, validate_trace
+from cherrypick.reductions import (
+    apply_action,
+    labels_of,
+    legal_moves,
+    replay_trace,
+    validate_trace,
+)
 from cherrypick.search import (
     _cherry_moves,
     _Searcher,
     _solve,
+    _walk_moves,
     greedy_cps,
     hybrid_number,
     min_weight_cps,
@@ -34,6 +41,18 @@ from util import (
 
 
 FIG_FOREST = "(1,3);\n((2,4),(5,6));"
+
+
+def seeded_forest_pairs(sizes, per_size=12):
+    """Forest pair k of n leaves from ``seeded_rng(1000n + k)``, with
+    1 + k % 3 components in each forest."""
+    pairs = []
+    for n in sizes:
+        labels = [str(i) for i in range(1, n + 1)]
+        for k in range(per_size):
+            rng = seeded_rng(1000 * n + k)
+            pairs.append((random_forest(labels, 1 + k % 3, rng), random_forest(labels, 1 + k % 3, rng)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +106,18 @@ def test_greedy_always_terminates_with_valid_length(subtests=None):
         trace = greedy_cps(F, F2)
         assert validate_trace(F, F2, trace) == trace.weight
         assert len(labels_of(trace)) >= n
+
+
+def test_greedy_applies_its_resolved_actions_without_a_check(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("greedy checked a step it resolved itself")
+
+    pairs = seeded_forest_pairs(range(4, 8))
+    with monkeypatch.context() as patched:
+        patched.setattr("cherrypick.reductions.check_step", broken)
+        traces = [greedy_cps(F, F2) for F, F2 in pairs]
+    for (F, F2), trace in zip(pairs, traces):
+        assert validate_trace(F, F2, trace) == trace.weight
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +393,23 @@ def test_witness_walk_matches_full_enumeration():
             result = min_weight_cps(F, F2)
             reference = witness_full_enumeration(F, F2, result.min_weight)
             assert serialize_trace(result.witness) == serialize_trace(reference)
+
+
+def test_walk_lists_the_legal_moves_and_its_probes_keep_the_value():
+    # at every state the witness and greedy pass through, the walk lists
+    # exactly legal_moves, and a probe that first drops the child's
+    # isolated labels finds the raw child's residual
+    for F, F2 in seeded_forest_pairs(range(4, 8)):
+        cutoff = len(F.ground_set)  # above every residual, so both are exact
+        prober, reference = _Searcher(), _Searcher()
+        for trace in (min_weight_cps(F, F2).witness, greedy_cps(F, F2)):
+            for state in replay_trace(F, F2, trace).states:
+                moves = legal_moves(*state)
+                assert list(_walk_moves(*state)) == moves
+                for _, action in moves:
+                    child = apply_action(*state, action)[:2]
+                    probed = prober._probe(*state, action, cutoff)
+                    assert probed == reference.residual(*child, cutoff)
 
 
 def test_value_only_solves_skip_the_witness_walk(monkeypatch):

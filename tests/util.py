@@ -276,6 +276,8 @@ def displays_unpruned(network, forest):
     over subdivision embeddings, trying every end vertex for every
     internal tree vertex and going deeper from each, so its first witness
     is the one the pruned search must find."""
+    # built once per call, in the order of PseudoNetwork.simple_neighbors
+    neighbors = {v: network.simple_neighbors(v) for v in network.adj}
 
     def embed_tree(tree, used):
         if tree.num_vertices == 1:
@@ -311,7 +313,7 @@ def displays_unpruned(network, forest):
             on_path = {start}
 
             def walk(v):
-                for w in network.simple_neighbors(v):
+                for w in neighbors[v]:
                     if w in on_path or w in used:
                         continue
                     if target is not None:
