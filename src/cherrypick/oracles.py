@@ -225,29 +225,23 @@ def _embed_tree(network, neighbors, tree, used):
             for w in neighbors[v]:
                 if w in on_path or w in used:
                     continue
-                if target is not None:
-                    if w == target:
-                        yield path + [w]
-                    elif w not in network.labels:
-                        path.append(w)
-                        on_path.add(w)
-                        yield from walk(w)
-                        on_path.discard(w)
-                        path.pop()
-                else:
-                    if w in network.labels:
-                        continue
-                    path.append(w)
-                    on_path.add(w)
-                    # the internal tree vertex ending here still has two
-                    # edges to place from w, each through its own unused
-                    # neighbour; with fewer, no embedding ends this way
+                if w == target:
+                    yield path + [w]
+                    continue
+                if w in network.labels:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                # an internal tree vertex ending here still has two edges
+                # to place from w, each through its own unused neighbour;
+                # with fewer, no embedding ends this way
+                if target is None:
                     free = [x for x in neighbors[w] if x not in on_path and x not in used]
                     if len(free) >= 2:
-                        yield path + []
-                    yield from walk(w)
-                    on_path.discard(w)
-                    path.pop()
+                        yield list(path)
+                yield from walk(w)
+                on_path.discard(w)
+                path.pop()
 
         yield from walk(start)
 

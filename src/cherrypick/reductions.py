@@ -24,14 +24,16 @@ partner in the orientation's first forest A (B is the other forest):
 * C3      -- x is an isolated vertex of the orientation's forest; remove
              x from both.
 
-``_pair_moves`` states the C1/C2 side conditions once: ``legal_moves``
-enumerates every legal step with it, and ``check_step`` looks a step up
-in it.  ``_isolated_moves`` lists the C3 steps for ``legal_moves`` and
-for the search's free step.  C1 and both-singleton C3 steps, whose two
-orientations have identical effect, are enumerated with forward
-orientation only.
+``_pair_moves`` states the C1/C2 side conditions once, and ``check_step``
+looks a step up in it.  ``_isolated_moves`` lists the C3 steps, also for
+the search's free step.  ``_ordered_moves`` merges the two into every
+legal step in step order, lazily: ``legal_moves`` lists it, and the
+search's witness walk reads it only as far as its choice.  C1 and
+both-singleton C3 steps, whose two orientations have identical effect,
+are enumerated with forward orientation only.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,9 +153,9 @@ def _pair_moves(A, B, x, y, orientation):
 
     This is the one statement of the C1/C2 side conditions.  C1 is
     yielded for the forward orientation only, as both orientations have
-    the same effect.  Moves come lazily and cheapest first, so a lookup
-    that stops at its match skips the pendant-shape and x--y path
-    searches when it can.
+    the same effect.  Moves come lazily and in step order (see
+    ``sort_key``), so a lookup that stops at its match skips the
+    pendant-shape and x--y path searches when it can.
     """
     side = 0 if orientation == "forward" else 1
     partners = B.cherry_partners(x)
@@ -183,7 +185,7 @@ def _pair_moves(A, B, x, y, orientation):
                 cuts = (("e_p", shape.e_p), ("e_xyp", shape.cut_edge))
             else:
                 shape_rule = "C2a_iii"
-                cuts = (("e_p", shape.e_p), ("e_q", shape.e_q), ("e_pq", shape.e_pq))
+                cuts = (("e_p", shape.e_p), ("e_pq", shape.e_pq), ("e_q", shape.e_q))
             for cut, edge in cuts:
                 step = ReductionStep(
                     x, shape_rule, orientation, y=y, p=shape.p, q=shape.q, cut=cut
@@ -304,6 +306,24 @@ def _isolated_moves(F, F2):
     return [moves[x] for x in sorted(moves)]
 
 
+def _ordered_moves(F, F2):
+    """Every C1, C2 and C3 step of a state, paired with its resolved
+    action, in step order and lazily: the merge of each ordered cherry's
+    ``_pair_moves`` and of ``_isolated_moves``, each of which is already
+    in step order.  A stream is advanced only past the moves taken from
+    it, so a reader that stops early skips the rest of its searches.  At
+    one label it lists that label's C3 step, which is not legal there
+    (see ``legal_moves``)."""
+    streams = []
+    for orientation in ("forward", "reversed"):
+        A, B = _sides(F, F2, orientation)
+        for a, b in A.cherries():
+            streams.append(_pair_moves(A, B, a, b, orientation))
+            streams.append(_pair_moves(A, B, b, a, orientation))
+    streams.append(_isolated_moves(F, F2))
+    return heapq.merge(*streams, key=lambda move: move[0].sort_key())
+
+
 def legal_moves(F, F2):
     """Every step legal at a state, paired with its resolved action, in
     step order.  Terminal states (one label left) admit no steps."""
@@ -312,15 +332,7 @@ def legal_moves(F, F2):
         raise GroundSetMismatch("forests are empty")
     if len(F.ground_set) == 1:
         return []
-    moves = []
-    for orientation in ("forward", "reversed"):
-        A, B = _sides(F, F2, orientation)
-        for a, b in A.cherries():
-            moves.extend(_pair_moves(A, B, a, b, orientation))
-            moves.extend(_pair_moves(A, B, b, a, orientation))
-    moves.extend(_isolated_moves(F, F2))
-    moves.sort(key=lambda move: move[0].sort_key())
-    return moves
+    return list(_ordered_moves(F, F2))
 
 
 def applicable_steps(F, F2):

@@ -21,12 +21,12 @@ from .reductions import (
     ReductionStep,
     ReductionTrace,
     _isolated_moves,
+    _ordered_moves,
     _pair_moves,
     _path_end_edges,
-    applicable_steps,
+    applicable_steps,  # unused here, but bench/tracer.py wraps search.applicable_steps
     apply_action,
     apply_step,
-    check_step,
 )
 
 
@@ -150,33 +150,6 @@ def _cherry_moves(F, F2, cherry):
     return actions
 
 
-def _walk_moves(F, F2):
-    """Every legal move of a state, paired with its resolved action, in
-    the order of ``legal_moves``, listed lazily for the witness walk.
-
-    C1 and C2a_i sort before every other rule, so the sorted C1 and C2a_i
-    moves of every ordered cherry, in both orientations, are the head of
-    ``legal_moves``.  They are read off the start of each ``_pair_moves``
-    generator, which is left before its pendant-shape search.  The rest
-    follow in the order of ``applicable_steps``, each with the action
-    ``check_step`` resolves for it.
-    """
-    head = []
-    for orientation, A, B in (("forward", F, F2), ("reversed", F2, F)):
-        for a, b in A.cherries():
-            for x, y in ((a, b), (b, a)):
-                for step, action in _pair_moves(A, B, x, y, orientation):
-                    if step.rule not in ("C1", "C2a_i"):
-                        break
-                    head.append((step, action))
-                    if step.cut == "e_y":  # the last C2a_i move of (x, y)
-                        break
-    head.sort(key=lambda move: move[0].sort_key())
-    yield from head
-    for step in applicable_steps(F, F2)[len(head):]:
-        yield step, check_step(F, F2, step)
-
-
 class _Searcher:
     """Iterative-deepening search over pairs of forests, memoized on
     their label partitions.
@@ -258,25 +231,24 @@ class _Searcher:
       each in ``sort_key`` order).
 
     Elsewhere a C2 step can sort before the free C3 step and keep the
-    value as well, so the walk tries the moves of ``_walk_moves``, which
-    lists them in the order of ``legal_moves``, and asks the search for
-    each child's value.  Three things keep that cheap:
+    value as well, so the walk reads the moves of ``_ordered_moves`` in
+    turn and asks the search for each child's value.  That is exact and
+    cheap:
 
-    * The C2a_i moves come first and need no pendant-shape or path
-      search.  The walk enumerates only at a state without a C1 step,
-      and there the C2a_i moves are the head of ``legal_moves``: its
-      order sorts by rule first, and "C2a_i" sorts before every other C2
-      rule and before "C3".  The rest of ``applicable_steps`` is listed
-      only when none of them keeps the value.
+    * The moves come in step order, the order of ``legal_moves``:
+      ``_ordered_moves`` merges one stream per ordered cherry and
+      orientation, plus the C3 moves, and each stream is in step order
+      already, so the merge is the sorted list.
+    * A stream advances only past the moves the walk rejected, so its
+      pendant-shape or x--y path search runs only once its cheaper
+      moves failed; the first move of every stream needs neither.
     * A probe drops every isolated label of the child before asking
       ``residual``.  Each drop is a legal C3 step, and a free step keeps
       the value (see above), so the answer is unchanged; the dropped
       child is the state the search itself reaches after a cut, whose
       value the memo often holds already.
-    * A probe applies its move's resolved action unchecked: a C2a_i
-      move comes with its action, and only a fallback move has its
-      action resolved by ``check_step``, since ``applicable_steps``
-      lists steps alone.  The chosen step then goes through the checked
+    * A probe applies its move's resolved action unchecked, as each move
+      comes with it.  The chosen step then goes through the checked
       ``apply_step``, so every step of the witness is checked before
       ``hybrid --trace-out`` writes it, whether or not anything replays
       the trace.
@@ -400,7 +372,7 @@ class _Searcher:
                 continue
             # here need >= 1 (a state of value 0 has a free step) and a
             # step costs at most one, so every step fits
-            for step, action in _walk_moves(cur_F, cur_F2):
+            for step, action in _ordered_moves(cur_F, cur_F2):
                 rest = need - step.cost
                 if self._probe(cur_F, cur_F2, action, rest + 1) == rest:
                     break

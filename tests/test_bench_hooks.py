@@ -52,8 +52,10 @@ def test_traced_search_and_replay_reach_the_wrapped_names():
     ):
         assert calls.get(span, 0) > 0, span
     assert tree_builds > 0
-    # this pair's witness starts with a C2a_ii step, so the walk falls
-    # back to the rest of applicable_steps
-    calls, _ = traced_calls(tracer_module, "((((4,6),3),(2,5)),1);", "(((((3,6),4),5),2),1);")
-    for span in ("reductions.applicable_steps", "reductions.apply_step"):
-        assert calls.get(span, 0) > 0, span
+    # this pair's witness starts with a C2a_ii step, so the walk reads
+    # past every C2a_i move before it applies a step
+    first, second = "((((4,6),3),(2,5)),1);", "(((((3,6),4),5),2),1);"
+    calls, _ = traced_calls(tracer_module, first, second)
+    assert calls.get("reductions.apply_step", 0) > 0
+    F, F2 = cherrypick.parse_forest(first), cherrypick.parse_forest(second)
+    assert cherrypick.min_weight_cps(F, F2).witness.steps[0].rule == "C2a_ii"

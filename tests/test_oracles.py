@@ -304,11 +304,16 @@ def test_displays_edge_cases_match_the_unpruned_search(network_name, forest_text
 
 
 @pytest.mark.slow
-def test_displays_finds_the_witness_of_the_unpruned_search_at_scale():
+@pytest.mark.parametrize("part", range(4))
+def test_displays_finds_the_witness_of_the_unpruned_search_at_scale(part):
     # 600 networks at n = 9..12 within the size guard, from greedy and
     # exact traces in turn, each checked on both forests and on a random
-    # third forest; the test took 1,037 s (about 1.7 s per network) on a
-    # shared 2-vCPU host, nearly all of it the plain backtracking
+    # third forest.  Every part draws all 600 and checks one pair of
+    # consecutive networks in four, so the parts can run side by side and
+    # each gets a quarter of the greedy-trace networks, which take about
+    # ten times as long as the others.  The whole took 1,037 s (about
+    # 1.7 s per network) on a shared 2-vCPU host, nearly all of it the
+    # plain backtracking
     from cherrypick.builder import build_network
     from cherrypick.generate import random_forest
     from cherrypick.search import greedy_cps, min_weight_cps
@@ -328,6 +333,8 @@ def test_displays_finds_the_witness_of_the_unpruned_search_at_scale():
         if net.num_vertices > DISPLAY_MAX_VERTICES:
             continue
         networks += 1
+        if (networks - 1) // 2 % 4 != part:  # networks - 1 is this network's index
+            continue
         for forest in (F, F2, third):
             witness = displays(net, forest)
             assert witness == displays_unpruned(net, forest)

@@ -3,6 +3,7 @@
 import re
 import sys
 from collections import deque
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,11 @@ import pytest
 from cherrypick.errors import CapExceeded, GroundSetMismatch, NotATree
 from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, serialize_trace
-from cherrypick.oracles import tbr_neighbors
+from cherrypick.oracles import tbr_distance_bfs, tbr_neighbors
 from cherrypick.reductions import (
+    _isolated_moves,
+    _ordered_moves,
+    _pair_moves,
     apply_action,
     labels_of,
     legal_moves,
@@ -22,7 +26,6 @@ from cherrypick.search import (
     _cherry_moves,
     _Searcher,
     _solve,
-    _walk_moves,
     greedy_cps,
     hybrid_number,
     min_weight_cps,
@@ -396,20 +399,41 @@ def test_witness_walk_matches_full_enumeration():
 
 
 def test_walk_lists_the_legal_moves_and_its_probes_keep_the_value():
-    # at every state the witness and greedy pass through, the walk lists
-    # exactly legal_moves, and a probe that first drops the child's
-    # isolated labels finds the raw child's residual
+    # at every state the witness and greedy pass through, each stream the
+    # walk merges (one per ordered cherry and orientation, plus the C3
+    # moves) is in step order, so the merge is their sorted concatenation;
+    # and a probe that first drops the child's isolated labels finds the
+    # raw child's residual.  The walk never reads the terminal state.
+    def key(move):
+        return move[0].sort_key()
+
     for F, F2 in seeded_forest_pairs(range(4, 8)):
         cutoff = len(F.ground_set)  # above every residual, so both are exact
         prober, reference = _Searcher(), _Searcher()
         for trace in (min_weight_cps(F, F2).witness, greedy_cps(F, F2)):
-            for state in replay_trace(F, F2, trace).states:
+            for state in replay_trace(F, F2, trace).states[:-1]:
+                streams = [_isolated_moves(*state)]
+                for orientation, (A, B) in (("forward", state), ("reversed", state[::-1])):
+                    for a, b in A.cherries():
+                        streams += [list(_pair_moves(A, B, x, y, orientation)) for x, y in ((a, b), (b, a))]
+                for stream in streams:
+                    assert stream == sorted(stream, key=key)
+                assert list(_ordered_moves(*state)) == sorted(chain(*streams), key=key)
                 moves = legal_moves(*state)
-                assert list(_walk_moves(*state)) == moves
                 for _, action in moves:
                     child = apply_action(*state, action)[:2]
                     probed = prober._probe(*state, action, cutoff)
                     assert probed == reference.residual(*child, cutoff)
+
+
+def test_legal_only_refinement_trap_has_distance_one():
+    # a branch refinement that kept only legal steps once returned 2 here
+    F = parse_forest("((((4,5),6),(2,3)),1);")
+    F2 = parse_forest("(((((4,6),5),3),2),1);")
+    result = min_weight_cps(F, F2)
+    assert result.min_weight == tbr_distance_bfs(F.components[0], F2.components[0]) == 1
+    reference = witness_full_enumeration(F, F2, result.min_weight)
+    assert serialize_trace(result.witness) == serialize_trace(reference)
 
 
 def test_value_only_solves_skip_the_witness_walk(monkeypatch):
