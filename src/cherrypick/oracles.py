@@ -5,17 +5,18 @@ distance by breadth-first search over the move graph of unrooted binary
 trees, and display checking by exhaustive backtracking over subdivision
 embeddings with the leaf map fixed.  The display search prunes only
 branches that cannot complete: it places an internal tree vertex only at
-a network vertex with two free neighbours, and goes deeper only while
-every leaf on the vertex's far side stays reachable from it through
-unused unlabelled vertices, since the image of that side is connected,
-avoids every used vertex and passes through no leaf.  Its verdicts and
-witnesses are those of the plain backtracking.  Both oracles are
-deliberately simple and share no code with the search, the reduction
-rules or the network builder they judge, nor with the surgery and the
-parser.  They share only the tree values: trees are ``PhyloTree``
-values compared by their canonical Newick form, and a TBR move splits a
-tree into the restrictions to the two leaf sets of the cut edge.  The
-``cherrypick tbr`` command runs the exact solver, not this BFS.
+a network vertex with two free neighbours, and at each step of the path
+walk toward that vertex it enters a vertex only while every leaf on the
+tree vertex's far side stays reachable from it through unused unlabelled
+vertices, since the image of that side is connected, avoids every used
+vertex and passes through no leaf.  Its verdicts and witnesses are those
+of the plain backtracking.  Both oracles are deliberately simple and
+share no code with the search, the reduction rules or the network
+builder they judge, nor with the surgery and the parser.  They share
+only the tree values: trees are ``PhyloTree`` values compared by their
+canonical Newick form, and a TBR move splits a tree into the
+restrictions to the two leaf sets of the cut edge.  The ``cherrypick
+tbr`` command runs the exact solver, not this BFS.
 """
 
 from collections import deque
@@ -215,35 +216,42 @@ def _embed_tree(network, neighbors, tree, used):
                     stack.append(w)
         return not pending
 
-    def candidate_paths(start, target):
-        """Simple paths from `start` avoiding used vertices; when `target`
-        is None any unused internal vertex may end the path."""
+    def candidate_paths(start, target, leaves):
+        """Simple paths from `start` (a used vertex) through unused
+        vertices, in depth-first order on one stack of neighbour
+        iterators.  The path's vertices are in `used` while it is
+        yielded, and the yielded list is valid until the walk resumes.
+        With `target` None the path ends at an unlabelled vertex, and the
+        walk enters one only while every network leaf in `leaves` stays
+        reachable from it; ``displays`` states why that loses nothing."""
         path = [start]
-        on_path = {start}
-
-        def walk(v):
-            for w in neighbors[v]:
-                if w in on_path or w in used:
+        stack = [iter(neighbors[start])]
+        while stack:
+            for w in stack[-1]:
+                if w in used:
                     continue
                 if w == target:
-                    yield path + [w]
+                    path.append(w)
+                    used.add(w)
+                    yield path
+                    used.discard(w)
+                    path.pop()
                     continue
-                if w in network.labels:
+                if w in network.labels or target is None and not reaches_all(w, leaves):
                     continue
                 path.append(w)
-                on_path.add(w)
+                used.add(w)
                 # an internal tree vertex ending here still has two edges
                 # to place from w, each through its own unused neighbour;
                 # with fewer, no embedding ends this way
-                if target is None:
-                    free = [x for x in neighbors[w] if x not in on_path and x not in used]
-                    if len(free) >= 2:
-                        yield list(path)
-                yield from walk(w)
-                on_path.discard(w)
-                path.pop()
-
-        yield from walk(start)
+                if target is None and sum(x not in used for x in neighbors[w]) >= 2:
+                    yield path
+                stack.append(iter(neighbors[w]))
+                break
+            else:
+                stack.pop()
+                if len(path) > 1:
+                    used.discard(path.pop())
 
     def place(idx):
         if idx == len(order):
@@ -256,17 +264,13 @@ def _embed_tree(network, neighbors, tree, used):
                 return
         else:
             target = None
-        for path in candidate_paths(phi[a], target):
+        for path in candidate_paths(phi[a], target, far[b]):
             phi[b] = path[-1]
-            fresh = path[1:]
-            used.update(fresh)
-            paths[_edge(a, b)] = list(path) if a < b else list(reversed(path))
-            # the far-leaf prune; ``displays`` states why it is sound
-            if target is not None or reaches_all(phi[b], far[b]):
-                yield from place(idx + 1)
+            paths[_edge(a, b)] = list(path) if a < b else path[::-1]
+            # no far-leaf test here: the walk made it at each step, and a
+            # path whose end cuts off a far leaf of b is never yielded
+            yield from place(idx + 1)
             del paths[_edge(a, b)]
-            for v in fresh:
-                used.discard(v)
             del phi[b]
 
     yield from place(0)
@@ -278,12 +282,18 @@ def displays(network, forest):
     disjoint subdivision images, leaf x mapped to leaf x), else None.
 
     Exhaustive backtracking that skips only branches which would fail.
-    An internal tree vertex ends only at a network vertex w with two free
-    neighbours, and is expanded only if every leaf of its far subtree
-    (seen from the anchor leaf) is reachable from w through unused
-    unlabelled vertices: that subtree's image is connected, holds w,
-    avoids every used vertex and passes through no leaf.  So the first
-    witness found, or None, is the one the plain backtracking gives.
+    An internal tree vertex b ends only at a network vertex with two free
+    neighbours.  Its far subtree (seen from the anchor leaf) has a
+    connected image that holds b's end, avoids every used vertex and
+    passes through no leaf, so the end must reach every far leaf through
+    unused unlabelled vertices.  The path walk toward b tests that at
+    each step: it enters a vertex w only if every far leaf is reachable
+    from w avoiding the used vertices and the walk's own path.  Skipping
+    w loses nothing, by a prefix argument: if a path continuing through
+    w ended at a vertex that reaches every far leaf, then w would reach
+    them too, by following that path and then the route from its end.
+    The surviving paths come in the same order, so the first witness
+    found, or None, is the one the plain backtracking gives.
 
     Guarded to desk scale: a network above ``DISPLAY_MAX_VERTICES`` (40)
     vertices raises ScaleGuard, and forest labels missing from the

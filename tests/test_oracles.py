@@ -238,11 +238,13 @@ def test_displays_matches_restriction_characterization_on_trees():
 
 def test_displays_finds_the_witness_of_the_unpruned_search():
     # the search skips an end vertex that lacks two free neighbours for an
-    # internal tree vertex; every skipped branch fails, so the first
-    # witness found, and a None, are those of the plain backtracking
+    # internal tree vertex, and a walk step into a vertex that cuts off
+    # the vertex's far leaves; every skipped branch fails, so the first
+    # witness found, and a None, are those of the plain backtracking.
+    # Networks come from the greedy trace and the exact witness of each pair
     from cherrypick.builder import build_network
     from cherrypick.generate import random_forest
-    from cherrypick.search import greedy_cps
+    from cherrypick.search import greedy_cps, min_weight_cps
 
     rng = seeded_rng(3131)
     found = []
@@ -251,11 +253,13 @@ def test_displays_finds_the_witness_of_the_unpruned_search():
         labels = [str(i) for i in range(1, n + 1)]
         k = rng.randint(1, 3)
         F, F2 = random_forest(labels, k, rng), random_forest(labels, k, rng)
-        net = build_network(F, F2, greedy_cps(F, F2))
-        for forest in (F, F2, random_forest(labels, rng.randint(1, 3), rng)):
-            witness = displays(net, forest)
-            assert witness == displays_unpruned(net, forest)
-            found.append(witness is not None)
+        third = random_forest(labels, rng.randint(1, 3), rng)
+        for trace in (greedy_cps(F, F2), min_weight_cps(F, F2).witness):
+            net = build_network(F, F2, trace)
+            for forest in (F, F2, third):
+                witness = displays(net, forest)
+                assert witness == displays_unpruned(net, forest)
+                found.append(witness is not None)
     assert any(found) and not all(found)
 
 
@@ -266,6 +270,12 @@ EDGE_CASE_NETWORKS = {
     # a pseudo-network on four leaves whose middle edge is doubled
     "parallel": "1 -- a\n2 -- a\na -- b\nb -- c\nb -- c\nc -- d\nd -- 3\nd -- 4\n",
     "parallel-only": "x -- u\ny -- v\nu -- v\nu -- v\n",
+    # the quartet tree 12|34 with a pocket p, q, r hung off a: once a
+    # path has passed a, p still has two free neighbours but no way out
+    "pocket": (
+        "1 -- a\na -- p\na -- b\np -- q\np -- r\nq -- r\nq -- r\n"
+        "b -- 2\nb -- c\nc -- 3\nc -- 4\n"
+    ),
 }
 
 
@@ -290,12 +300,16 @@ EDGE_CASE_NETWORKS = {
         ("parallel", "(1,4);\n2;", True),
         ("parallel-only", "(x,y);", True),
         ("parallel-only", "x;\ny;", True),
+        ("pocket", "((1,2),(3,4));", True),
+        ("pocket", "((1,3),(2,4));", False),
+        ("pocket", "(1,2);\n(3,4);", True),
     ],
 )
 def test_displays_edge_cases_match_the_unpruned_search(network_name, forest_text, shown):
     # the no quartet, isolated components, three or more components,
-    # forests on a strict subset of the labels, and doubled edges: the
-    # pruned search returns the plain backtracking's witness, or None
+    # forests on a strict subset of the labels, doubled edges, and a walk
+    # that meets a pocket cut off from the far leaves: the pruned search
+    # returns the plain backtracking's witness, or None
     network = parse_network(EDGE_CASE_NETWORKS[network_name])
     forest = parse_forest(forest_text)
     witness = displays(network, forest)

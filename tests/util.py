@@ -17,6 +17,7 @@ from pathlib import Path
 
 import cherrypick
 from cherrypick.reductions import (
+    ReductionStep,
     ReductionTrace,
     applicable_steps,
     apply_action,
@@ -144,9 +145,10 @@ def near_pair(n, k, s):
 
 def min_trace_bruteforce(F, F2):
     """The lexicographically least minimum-weight cherry picking sequence
-    (steps compared by their position in ``applicable_steps``), by plain
-    depth-first search with no memo, no forcing of free steps and no
-    lower bound.
+    (steps compared by ``ReductionStep.sort_key``), by plain depth-first
+    search with no memo, no forcing of free steps and no lower bound.  It
+    sorts ``applicable_steps`` itself, so it judges the solver's step
+    order rather than sharing it.
 
     The only limit is a weight budget, raised one at a time from 0: the
     first complete sequence found within budget w, trying steps in
@@ -158,7 +160,7 @@ def min_trace_bruteforce(F, F2):
     def first_within(F, F2, budget):
         if len(F.ground_set) == 1:
             return ()
-        for step in applicable_steps(F, F2):
+        for step in sorted(applicable_steps(F, F2), key=ReductionStep.sort_key):
             if step.cost > budget:
                 continue
             rest = first_within(*apply_step(F, F2, step), budget - step.cost)
@@ -208,7 +210,8 @@ def min_trace_full_branching(F, F2):
 
 def witness_full_enumeration(F, F2, weight):
     """The lexicographically least trace of the given optimal weight, by
-    trying every legal step at every state, in ``applicable_steps``
+    trying every legal step at every state, sorted here by
+    ``ReductionStep.sort_key`` rather than taken in the solver's own
     order, and keeping the first whose child still reaches the weight.
     Child values come from the exact search; only the walk's shortcut
     for forced steps is left out."""
@@ -218,7 +221,7 @@ def witness_full_enumeration(F, F2, weight):
     steps = []
     need = weight
     while len(F.ground_set) > 1:
-        for step in applicable_steps(F, F2):
+        for step in sorted(applicable_steps(F, F2), key=ReductionStep.sort_key):
             if step.cost > need:
                 continue
             nF, nF2 = apply_step(F, F2, step)
@@ -272,10 +275,12 @@ def verify_images_in_full(state, pair):
 def displays_unpruned(network, forest):
     """``oracles.displays`` without its guards and with neither of its
     prunes (the two free neighbours of an internal end vertex, and the
-    reachability of a placed vertex's far leaves): the same backtracking
-    over subdivision embeddings, trying every end vertex for every
-    internal tree vertex and going deeper from each, so its first witness
-    is the one the pruned search must find."""
+    far-leaf test that the pruned search makes at each step of an
+    internal vertex's path walk, entering a vertex only while it reaches
+    every far leaf): the same backtracking over subdivision embeddings,
+    trying every end vertex for every internal tree vertex and going
+    deeper from each, so its first witness is the one the pruned search
+    must find."""
     # built once per call, in the order of PseudoNetwork.simple_neighbors
     neighbors = {v: network.simple_neighbors(v) for v in network.adj}
 
