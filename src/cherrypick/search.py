@@ -38,7 +38,9 @@ class _BudgetExceeded(Exception):
 class SearchStats:
     """Counters of one search.  ``nodes`` counts expanded states (the node
     budget counts these), ``applied`` the cuts and drops the search
-    applied, ``forced`` the free steps it took without branching, and
+    applied (a branch child that is the drop of a leaf its cut would
+    isolate counts once, see ``_closed``), ``forced`` the free steps it
+    took without branching (not the C3 step such a cut would force), and
     ``level_nodes[k]`` the nodes expanded while deciding whether the
     weight is at most k (the witness walk's nodes are in ``nodes`` only),
     ``memo_size`` the memo entries held when the search ended, and
@@ -150,6 +152,25 @@ def _cherry_moves(F, F2, cherry):
     return actions
 
 
+def _closed(F, F2, action):
+    """`action`, or ("drop", z) when it cuts an edge whose end in the
+    tree it cuts is a leaf labelled z (the first such end in edge order).
+
+    The cut leaves z an isolated vertex of that forest, so its C3 step is
+    legal and free, and the cut and then the drop of z reach the state
+    that dropping z from both forests reaches: both forests restricted to
+    the other labels.  A free step keeps the value (see ``_Searcher``),
+    so the drop child has the cut child's value, one node and one surgery
+    sooner."""
+    if action[0] == "cut":
+        _, side, comp, edge = action
+        labels = (F2 if side else F).components[comp].labels
+        for end in edge:
+            if end in labels:
+                return ("drop", labels[end])
+    return action
+
+
 class _Searcher:
     """Iterative-deepening search over pairs of forests, memoized on
     their label partitions.
@@ -204,13 +225,27 @@ class _Searcher:
       does when it undoes a cut.  The result displays the parent pair, so
       h(F, F2) <= 1 + h(child).
 
-    While a branch cuts only in F2, F's first cherry stays (x, y), so the
-    search keeps working on the same pair until it is resolved.  The
-    first argument is a sketch in the lemma's terms, not a formal proof,
-    so it is also checked: the tests compare the search with a
-    full-branching reference on every tree pair up to five leaves and on
-    seeded forest pairs up to eight leaves, and ``slow`` tests on every
-    pair of six-leaf trees and on seeded nine-leaf tree pairs.
+    One identity makes most children cheaper to reach:
+
+    * A cut that leaves a leaf z isolated is branched on as the drop of z
+      (``_closed``).  That is e_x or e_y, or an end subtree in F2 that is
+      the one leaf z.  The cut makes z an isolated vertex, whose C3 step
+      is free and keeps the value (see above), and the cut and then that
+      step reach the state the drop reaches: both forests restricted to
+      the other labels.  So the drop child has the cut child's value, and
+      the search builds it with one surgery and one node fewer.  The
+      witness walk's probes apply their moves the same way.
+
+    A branch that cuts only in F2 keeps (x, y) a cherry of F, but not
+    always the first: the drop of a one-leaf end subtree removes that
+    leaf from F too, and that can make a cherry that sorts before (x, y).
+
+    The argument that the cut set contains an optimal first step is a
+    sketch in the lemma's terms, not a formal proof, so it is also
+    checked: the tests compare the search with a full-branching reference
+    on every tree pair up to five leaves and on seeded forest pairs up to
+    eight leaves, and ``slow`` tests on every pair of six-leaf trees and
+    on seeded nine-leaf tree pairs.
 
     A child is built only when its cost is below the current best, and
     the search applies its cuts and drops unchecked.  Surgery builds its
@@ -242,7 +277,8 @@ class _Searcher:
     * A stream advances only past the moves the walk rejected, so its
       pendant-shape or x--y path search runs only once its cheaper
       moves failed; the first move of every stream needs neither.
-    * A probe drops every isolated label of the child before asking
+    * A probe applies its move through ``_closed`` (see above), then
+      drops every isolated label of the child before asking
       ``residual``.  Each drop is a legal C3 step, and a free step keeps
       the value (see above), so the answer is unchanged; the dropped
       child is the state the search itself reaches after a cut, whose
@@ -341,7 +377,7 @@ class _Searcher:
         if best <= 1:
             return best
         for action in _cherry_moves(F, F2, cherry):
-            nF, nF2, _ = apply_action(F, F2, action)
+            nF, nF2, _ = apply_action(F, F2, _closed(F, F2, action))
             self.stats.applied += 1
             best = min(best, 1 + self.residual(nF, nF2, best - 1))
             if best <= 1:
@@ -352,7 +388,7 @@ class _Searcher:
         """``residual`` of the child that `action` makes, with its
         isolated labels dropped first (see the class doc); one label
         stays when every label is isolated."""
-        F, F2, _ = apply_action(F, F2, action)
+        F, F2, _ = apply_action(F, F2, _closed(F, F2, action))
         isolated = _isolated_moves(F, F2)
         for _, drop in isolated[: len(F.ground_set) - 1]:
             F, F2, _ = apply_action(F, F2, drop)

@@ -24,6 +24,7 @@ from cherrypick.reductions import (
 )
 from cherrypick.search import (
     _cherry_moves,
+    _closed,
     _Searcher,
     _solve,
     greedy_cps,
@@ -424,6 +425,64 @@ def test_walk_lists_the_legal_moves_and_its_probes_keep_the_value():
                     child = apply_action(*state, action)[:2]
                     probed = prober._probe(*state, action, cutoff)
                     assert probed == reference.residual(*child, cutoff)
+
+
+def test_a_cut_that_isolates_a_leaf_is_branched_on_as_its_drop(monkeypatch):
+    # every cut the search branches on and every move the walk probes, each
+    # with the cutoff of its state: _closed keeps the action exactly when
+    # no end of the cut edge is a leaf, and otherwise names the drop of
+    # that leaf, whose child is the cut child after that leaf's C3 step,
+    # with its key and its residual
+    recorded = []
+    branch, probe = _Searcher._branch, _Searcher._probe
+
+    def branching(self, F, F2, cutoff, cherry):
+        recorded.extend((F, F2, action, cutoff) for action in _cherry_moves(F, F2, cherry))
+        return branch(self, F, F2, cutoff, cherry)
+
+    def probing(self, F, F2, action, cutoff):
+        recorded.append((F, F2, action, cutoff))
+        return probe(self, F, F2, action, cutoff)
+
+    runs = []
+    with monkeypatch.context() as patched:
+        patched.setattr(_Searcher, "_branch", branching)
+        patched.setattr(_Searcher, "_probe", probing)
+        for inputs in seeded_forest_pairs(range(4, 9)) + [near_pair(30, 5, s) for s in (0, 1)]:
+            min_weight_cps(*inputs)
+            runs.append(recorded[:])
+            recorded.clear()
+    seen = set()
+    for run in runs:
+        cut_values, drop_values = _Searcher(), _Searcher()
+        for F, F2, action, cutoff in run:
+            closed = _closed(F, F2, action)
+            if action[0] == "drop":
+                assert closed == action
+                continue
+            _, side, comp, edge = action
+            labels = (F2 if side else F).components[comp].labels
+            ends = [labels[v] for v in edge if v in labels]
+            seen.add((side, bool(ends)))
+            if not ends:
+                assert closed == action
+                continue
+            assert closed == ("drop", ends[0])
+            cut = apply_action(F, F2, action)[:2]
+            dropped = apply_action(*cut, closed)[:2]
+            child = apply_action(F, F2, closed)[:2]
+            assert child == dropped and _Searcher._key(*child) == _Searcher._key(*dropped)
+            assert drop_values.residual(*child, cutoff) == cut_values.residual(*cut, cutoff)
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
+def test_near_pair_values():
+    # values at n >= 30 that no oracle reaches, with witnesses that replay
+    for (n, k, s), weight in {(30, 5, 0): 5, (30, 5, 1): 4, (50, 5, 0): 5, (50, 7, 0): 6}.items():
+        F, F2 = near_pair(n, k, s)
+        result = min_weight_cps(F, F2)
+        assert result.min_weight == weight
+        assert validate_trace(F, F2, result.witness) == weight
 
 
 def test_legal_only_refinement_trap_has_distance_one():
