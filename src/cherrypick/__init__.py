@@ -46,7 +46,7 @@ from .trees import (
     subtree_edge,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Blob",

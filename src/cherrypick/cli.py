@@ -9,7 +9,6 @@ network above 40 vertices), 5 semantic validation failure.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -132,7 +131,7 @@ def _cmd_hybrid(args, started):
             "lower": result.lower,
             "upper": result.upper,
             "nodes": result.stats.nodes,
-            "stats": dataclasses.asdict(result.stats),
+            "stats": result.stats._asdict(),
         }
         _report(args, "hybrid", inputs, outcome, started, [])
         print(
@@ -153,7 +152,7 @@ def _cmd_hybrid(args, started):
         "status": "exact",
         "hybrid_number": weight,
         "nodes": result.stats.nodes,
-        "stats": dataclasses.asdict(result.stats),
+        "stats": result.stats._asdict(),
     }
     if network is not None:
         outcome["network_reticulation"] = reticulation_number(network)

@@ -7,7 +7,7 @@ returns a new network.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     Disconnected,
@@ -156,8 +156,7 @@ def reticulation_number(graph):
 # blobs
 
 
-@dataclass(frozen=True)
-class Blob:
+class Blob(NamedTuple):
     """A maximal 2-connected subgraph that is not a single edge.
 
     ``incident_edges`` are the cut-edges of the host network with exactly
@@ -264,8 +263,7 @@ def remove_network_leaf(network, label):
     return PseudoNetwork(_suppress_degree_two(edges, labels), labels)
 
 
-@dataclass(frozen=True)
-class SimplificationResult:
+class SimplificationResult(NamedTuple):
     result: "PseudoNetwork"
     suppressed_count: int
 

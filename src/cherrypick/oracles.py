@@ -20,7 +20,7 @@ tbr`` command runs the exact solver, not this BFS.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GroundSetMismatch, ScaleGuard, TooSmall
 from .trees import PhyloTree, restrict, _edge
@@ -121,8 +121,7 @@ def tbr_distance_bfs(tree, tree2):
 DISPLAY_MAX_VERTICES = 40
 
 
-@dataclass(frozen=True)
-class ComponentImage:
+class ComponentImage(NamedTuple):
     """The subdivision image of one tree: an injective vertex map plus a
     network path for every tree edge (endpoints included)."""
 
@@ -144,8 +143,7 @@ class ComponentImage:
         return sorted(out)
 
 
-@dataclass(frozen=True)
-class EmbeddingImage:
+class EmbeddingImage(NamedTuple):
     """Vertex-disjoint subdivision images of a forest's components,
     aligned with the forest's component order."""
 

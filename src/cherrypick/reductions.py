@@ -34,7 +34,6 @@ are enumerated with forward orientation only.
 """
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -80,8 +79,7 @@ C2_RULES = frozenset(r for r in RULES if r.startswith("C2"))
 STEP_PARAMS = ("y", "p", "q", "cut")
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     label: str
     rule: str
     orientation: str = "forward"
@@ -106,8 +104,7 @@ class ReductionStep:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """An ordered list of steps; ``terminal`` is the label both forests
     collapse to, filled in by replay (the serialized form carries steps
     only)."""
@@ -121,6 +118,10 @@ class ReductionTrace:
 
     def __len__(self):
         return len(self.steps)
+
+
+# the inherited ``_make`` (so ``_replace``) counts the fields with len(), the step count here
+ReductionTrace._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def labels_of(trace):
@@ -345,8 +346,7 @@ def applicable_steps(F, F2):
 # replay
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     weight: int
     terminal: str
     states: tuple  # (F, F2) before each step, plus the final state

@@ -13,8 +13,8 @@ ordering, also when the greedy sequence is already optimal.
 """
 
 import time
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import CapExceeded, GroundSetMismatch, NotATree
 from .reductions import (
@@ -34,7 +34,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass
 class SearchStats:
     """Counters of one search.  ``nodes`` counts expanded states (the node
     budget counts these), ``applied`` the cuts and drops the search
@@ -49,18 +48,24 @@ class SearchStats:
     up to a distance cap was ruled out first.
     """
 
-    nodes: int = 0
-    memo_hits: int = 0
-    elapsed: float = 0.0
-    applied: int = 0
-    forced: int = 0
-    level_nodes: list = field(default_factory=list)
-    memo_size: int = 0
-    stop_reason: str = None
+    __slots__ = ("nodes", "memo_hits", "elapsed", "applied", "forced", "level_nodes",
+                 "memo_size", "stop_reason")
+
+    def __init__(self, nodes=0, memo_hits=0, elapsed=0.0, applied=0, forced=0,
+                 level_nodes=None, memo_size=0, stop_reason=None):
+        self.nodes, self.memo_hits, self.elapsed, self.applied = nodes, memo_hits, elapsed, applied
+        self.forced, self.memo_size, self.stop_reason = forced, memo_size, stop_reason
+        self.level_nodes = [] if level_nodes is None else level_nodes
+
+    def _asdict(self):
+        """The counters by name, in field order (``hybrid --json``'s "stats")."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self):
+        return "SearchStats(%s)" % ", ".join("%s=%r" % item for item in self._asdict().items())
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a minimum-weight search.
 
     ``status`` is "exact" when lower == upper is the true minimum, or

@@ -34,9 +34,9 @@ needs to track edge images.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import is_not
+from typing import NamedTuple
 
 from .errors import (
     DuplicateLabel,
@@ -372,8 +372,7 @@ class PhyloTree:
 # edge was left
 
 
-@dataclass(frozen=True)
-class EndpointEffect:
+class EndpointEffect(NamedTuple):
     """How one end of a removed edge was left: a "leaf" end lost its only
     neighbour and is now an isolated vertex; a "suppressed" end was an
     internal vertex, deleted by joining its two other neighbours into
@@ -385,8 +384,7 @@ class EndpointEffect:
     merged_edge: tuple = None
 
 
-@dataclass(frozen=True)
-class LeafRemoval:
+class LeafRemoval(NamedTuple):
     """How leaf x left a tree: its pendant edge was removed, ``far`` is
     the EndpointEffect of that edge's other end (None when x was an
     isolated vertex), and the isolated x was deleted."""
@@ -395,8 +393,7 @@ class LeafRemoval:
     far: EndpointEffect = None
 
 
-@dataclass(frozen=True)
-class EdgeRemoval:
+class EdgeRemoval(NamedTuple):
     edge: tuple
     effects: tuple  # one EndpointEffect per endpoint, in edge order
 
@@ -523,8 +520,7 @@ def restrict(tree, keep):
 # pendant shapes around a cherry
 
 
-@dataclass(frozen=True)
-class PendantShape:
+class PendantShape(NamedTuple):
     """A pendant subtree ((x,y),p) or ((x,y),(p,q)) hanging off a cherry.
 
     Edges are concrete edges of the host tree.  ``cut_edge`` is the
@@ -707,8 +703,7 @@ def remove_edge_traced(forest, component_index, edge):
 # semantic edge references
 
 
-@dataclass(frozen=True)
-class EdgeRef:
+class EdgeRef(NamedTuple):
     """A forest edge named semantically so references survive re-parsing:
     by the leaf whose pendant edge it is, or by the leaf set of the
     pendant subtree it cuts off."""

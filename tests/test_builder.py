@@ -1,7 +1,5 @@
 """Reverse-replay network construction with image tracking."""
 
-import dataclasses
-
 import pytest
 
 from cherrypick import builder
@@ -518,7 +516,7 @@ def _c1_on_the_wrong_leaf(real):
         if step.rule == "C1":
             others = sorted(set(self.vertex_of) - {step.y})
             if others:
-                step = dataclasses.replace(step, y=others[0])
+                step = step._replace(y=others[0])
         return real(self, step, rec_l, rec_r)
 
     return attach_leaf
