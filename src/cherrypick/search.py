@@ -41,7 +41,11 @@ class SearchStats:
     isolate counts once, see ``_closed``), ``forced`` the free steps it
     took without branching (not the C3 step such a cut would force), and
     ``level_nodes[k]`` the nodes expanded while deciding whether the
-    weight is at most k (the witness walk's nodes are in ``nodes`` only),
+    weight is at most k (the witness walk's nodes are in ``nodes`` only).
+    The input's own common-cherry chain, which ``_solve`` takes once
+    before anything else, is counted once in ``forced`` and ``applied``
+    and in neither ``nodes`` nor ``level_nodes``: its states are never
+    expanded, so a value-only solve has ``nodes == sum(level_nodes)``.
     ``memo_size`` the memo entries held when the search ended, and
     ``stop_reason`` why it ended: "exact" once the minimum is proven,
     "budget" when the node budget ran out first, "cap" when every weight
@@ -91,15 +95,39 @@ class SearchResult(NamedTuple):
 # greedy existence construction
 
 
+def _common_cherry_step(F2, cherries):
+    """The first legal C1 step in the order of ``applicable_steps``, or
+    None: the first of F's `cherries` that is a cherry of F2 too."""
+    for a, b in cherries:
+        if F2.has_cherry((a, b)):
+            return ReductionStep(a, "C1", "forward", y=b)
+    return None
+
+
 def _free_step(F, F2, cherries):
     """The first legal C1 step, else the first legal C3 step, in the order
     of ``applicable_steps``; None when no free step exists.  `cherries` is
     ``F.cherries()``, which the caller keeps for its own use."""
-    for a, b in cherries:
-        if F2.has_cherry((a, b)):
-            return ReductionStep(a, "C1", "forward", y=b)
-    isolated = _isolated_moves(F, F2)
-    return isolated[0][0] if isolated else None
+    step = _common_cherry_step(F2, cherries)
+    if step is None:
+        isolated = _isolated_moves(F, F2)
+        step = isolated[0][0] if isolated else None
+    return step
+
+
+def _common_cherry_chain(F, F2):
+    """Take C1 steps, each the first legal one, until the pair has no
+    common cherry or one label is left: the steps, in order, and the
+    reduced pair.  Each step is the one ``_free_step`` returns at its
+    state."""
+    steps = []
+    while len(F.ground_set) > 1:
+        step = _common_cherry_step(F2, F.cherries())
+        if step is None:
+            break
+        F, F2, _ = apply_action(F, F2, ("drop", step.label))
+        steps.append(step)
+    return tuple(steps), F, F2
 
 
 def _greedy_pick(F, F2):
@@ -120,13 +148,18 @@ def _greedy_pick(F, F2):
     return [cut, (ReductionStep(label, "C3", "forward"), ("drop", label))]
 
 
+def _check_ground_sets(F, F2):
+    """Reject forests on different or empty label sets."""
+    if F.ground_set != F2.ground_set or not F.ground_set:
+        raise GroundSetMismatch("forests must share a non-empty label set")
+
+
 def greedy_cps(F, F2):
     """A valid cherry picking sequence for any pair of forests on the same
     labels, of length at least |X|; weight 0 whenever only C1/C3 steps are
     needed.  Every step comes from ``_free_step`` or ``_pair_moves`` with
     its action resolved, so greedy applies that action without a check."""
-    if F.ground_set != F2.ground_set or not F.ground_set:
-        raise GroundSetMismatch("forests must share a non-empty label set")
+    _check_ground_sets(F, F2)
     steps = []
     cur_F, cur_F2 = F, F2
     while len(cur_F.ground_set) > 1:
@@ -257,18 +290,31 @@ class _Searcher:
     trees unchecked too (see ``trees``): they are valid by construction,
     and the replay of a trace checks each of them.
 
+    ``_solve`` takes the input pair's own chain of C1 steps once, with
+    ``_common_cherry_chain``, before greedy, the deepening levels and the
+    witness walk run, and starts all three from the reduced pair.  Each
+    level would otherwise expand the chain's states again: their memo
+    entries from the level before are lower bounds below the new cutoff.
+    The reduced pair has the input's value, because a free step keeps
+    the value (see above), and the outputs do not change, because greedy
+    and the walk both begin with exactly this chain: at a state with a C1
+    step, greedy takes ``_free_step``'s step, the first C1 step, and the
+    walk takes the same step through ``_common_cherry_chain`` (see
+    below).
+
     The witness walk takes, at each state, the first step in the order of
     ``applicable_steps`` whose child keeps the optimal value, so the
     witness is the lexicographically least optimal trace whichever moves
-    the search branched on.  Two cases are settled by ``_free_step``
-    alone, with no enumeration and no search:
+    the search branched on.  Two cases are settled with no enumeration
+    and no search:
 
     * The state has a C1 step.  "C1" sorts before every other rule under
-      ``sort_key``, ``_free_step`` returns the least C1 step, and a free
-      step keeps the value (see above), so that step is the choice.
-    * No weight is left to pay.  Only free steps fit, each of them keeps
-      the value, and ``_free_step`` returns the least one (C1 before C3,
-      each in ``sort_key`` order).
+      ``sort_key``, the least C1 step is ``_common_cherry_chain``'s next
+      step, and a free step keeps the value (see above), so that step is
+      the choice.  The walk takes such steps through that chain.
+    * No weight is left to pay.  Only free steps fit and each of them
+      keeps the value.  With no C1 step left, the least free step is the
+      first C3 step (in ``sort_key`` order).
 
     Elsewhere a C2 step can sort before the free C3 step and keep the
     value as well, so the walk reads the moves of ``_ordered_moves`` in
@@ -289,10 +335,12 @@ class _Searcher:
       child is the state the search itself reaches after a cut, whose
       value the memo often holds already.
     * A probe applies its move's resolved action unchecked, as each move
-      comes with it.  The chosen step then goes through the checked
-      ``apply_step``, so every step of the witness is checked before
-      ``hybrid --trace-out`` writes it, whether or not anything replays
-      the trace.
+      comes with it.  A step chosen among the moves then goes through
+      the checked ``apply_step``, so it is checked before ``hybrid
+      --trace-out`` writes it, whether or not anything replays the
+      trace.  The free steps taken without enumerating (the C1 chains,
+      and C3 steps once no weight is left) are applied as resolved, as
+      greedy applies its steps.
 
     The memo key of a state is the label partition of each forest, never
     a rendering of its trees.  Steps only cut edges and drop leaves, and
@@ -402,17 +450,22 @@ class _Searcher:
     def witness(self, F, F2, weight):
         """The lexicographically least optimal trace, by always taking the
         first step (in enumeration order) that preserves optimality; a
-        forced step is taken without enumerating (see the class doc)."""
+        C1 step, and any free step once `weight` is paid, is taken without
+        enumerating (see the class doc)."""
         steps = []
         cur_F, cur_F2, need = F, F2, weight
-        while len(cur_F.ground_set) > 1:
-            step = _free_step(cur_F, cur_F2, cur_F.cherries())
-            if step is not None and (step.rule == "C1" or need == 0):
-                cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, ("drop", step.label))
+        while True:
+            head, cur_F, cur_F2 = _common_cherry_chain(cur_F, cur_F2)
+            steps.extend(head)
+            if len(cur_F.ground_set) == 1:
+                break
+            if need == 0:
+                # a state of value 0 has a free step, here a C3 step
+                step, action = _isolated_moves(cur_F, cur_F2)[0]
+                cur_F, cur_F2, _ = apply_action(cur_F, cur_F2, action)
                 steps.append(step)
                 continue
-            # here need >= 1 (a state of value 0 has a free step) and a
-            # step costs at most one, so every step fits
+            # a step costs at most one, so every step fits
             for step, action in _ordered_moves(cur_F, cur_F2):
                 rest = need - step.cost
                 if self._probe(cur_F, cur_F2, action, rest + 1) == rest:
@@ -433,7 +486,10 @@ def min_weight_cps(F, F2, budget=None):
     Iterative deepening proves each level exhausted before admitting one
     more C2 step; the greedy sequence provides the initial upper bound.
     Free C1/C3 steps are forced rather than branched on (see
-    ``_Searcher`` for why that keeps the minimum).  With a node
+    ``_Searcher`` for why that keeps the minimum).  The input's own
+    common cherries are picked once, before greedy and the search start,
+    and that chain heads both the greedy trace and the witness, which
+    are what greedy and the walk on the input pair return.  With a node
     ``budget``, a "bounded" result reports the best interval instead of
     exactness; the budget limits the search itself, not the witness walk
     for an already-proven minimum.
@@ -446,15 +502,20 @@ def _solve(F, F2, budget=None, cap=None, walk=True):
     the search stops as "bounded" (stop reason "cap") once every weight up
     to ``cap`` is ruled out, and ``walk=False`` skips the witness walk for
     callers that need only the value (the witness is then None).  A
-    negative budget or cap raises ValueError."""
+    negative budget or cap raises ValueError, and forests on different or
+    empty label sets GroundSetMismatch, before the chain is taken."""
     for name, bound in (("budget", budget), ("cap", cap)):
         if bound is not None and bound < 0:
             raise ValueError("%s must be non-negative, got %r" % (name, bound))
     start = time.monotonic()
-    upper_trace = greedy_cps(F, F2)
-    upper = upper_trace.weight
+    _check_ground_sets(F, F2)
     searcher = _Searcher(budget)
     stats = searcher.stats
+    head, F, F2 = _common_cherry_chain(F, F2)
+    stats.forced = stats.applied = len(head)
+    greedy = greedy_cps(F, F2)
+    upper_trace = greedy._replace(steps=head + greedy.steps)
+    upper = upper_trace.weight
     value = 0  # every weight below `value` is ruled out
     witness = upper_trace
     try:
@@ -481,7 +542,8 @@ def _solve(F, F2, budget=None, cap=None, walk=True):
                 # at weight 0 the greedy trace is the walk's choice: it
                 # takes the first free step at every state
                 searcher.budget = None
-                witness = searcher.witness(F, F2, value)
+                tail = searcher.witness(F, F2, value)
+                witness = tail._replace(steps=head + tail.steps)
     stats.elapsed = time.monotonic() - start
     stats.memo_size = len(searcher.memo)
     return SearchResult(status, value, upper, witness, stats)

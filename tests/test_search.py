@@ -25,6 +25,7 @@ from cherrypick.reductions import (
 from cherrypick.search import (
     _cherry_moves,
     _closed,
+    _common_cherry_chain,
     _Searcher,
     _solve,
     greedy_cps,
@@ -614,6 +615,81 @@ def test_negative_budgets_and_caps_are_rejected():
             _solve(a, other, cap=-2)
     assert tbr_distance(a, a, cap=0) == 0
     assert min_weight_cps(a, b, budget=0).status == "bounded"
+
+
+# ---------------------------------------------------------------------------
+# the input's common-cherry chain, taken once per solve
+
+
+def transposition_pair(n, seed):
+    """A random tree on labels 1..n against itself with two labels swapped."""
+    rng = seeded_rng(seed)
+    labels = [str(i) for i in range(1, n + 1)]
+    T = random_tree(labels, rng)
+    a, b = rng.sample(labels, 2)
+    swap = {a: b, b: a}
+    return Forest([T]), Forest([PhyloTree(T.adj, {v: swap.get(lab, lab) for v, lab in T.labels.items()})])
+
+
+TRANSPOSITION_PAIRS = [transposition_pair(n, 100 * n + s) for n in (6, 7, 8) for s in range(6)]
+
+
+def test_one_transposition_witness_matches_full_enumeration():
+    for F, F2 in TRANSPOSITION_PAIRS:
+        result = min_weight_cps(F, F2)
+        reference = witness_full_enumeration(F, F2, result.min_weight)
+        assert serialize_trace(result.witness) == serialize_trace(reference)
+
+
+def test_equal_trees_are_solved_by_the_chain_alone():
+    for n in range(1, 13):
+        T = Forest([random_tree([str(i) for i in range(1, n + 1)], seeded_rng(n))])
+        result = min_weight_cps(T, T)
+        assert result.status == "exact" and result.min_weight == 0
+        assert result.witness == greedy_cps(T, T)
+        assert [step.rule for step in result.witness.steps] == ["C1"] * (n - 1)
+        stats = result.stats
+        assert (stats.nodes, stats.level_nodes, stats.forced, stats.applied) == (0, [], n - 1, n - 1)
+
+
+def test_a_zero_budget_returns_the_greedy_trace():
+    pairs = TRANSPOSITION_PAIRS + seeded_forest_pairs(range(4, 8), per_size=6)
+    for F, F2 in pairs:
+        greedy = greedy_cps(F, F2)
+        result = min_weight_cps(F, F2, budget=0)
+        assert result.witness == greedy and result.upper == greedy.weight
+        if greedy.weight:
+            assert (result.status, result.lower) == ("bounded", 0)
+
+
+def test_mismatched_or_empty_label_sets_are_rejected_before_the_chain(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("took a step on a mismatched pair")
+
+    monkeypatch.setattr("cherrypick.search.apply_action", broken)
+    # (1,2) is a cherry of both
+    for F, F2 in (
+        (parse_forest("((1,2),(3,4));"), parse_forest("((1,2),(3,5));")),
+        (parse_forest("((1,2),(3,4));"), parse_forest("((1,2),3);")),
+        (Forest([]), Forest([])),
+    ):
+        with pytest.raises(GroundSetMismatch, match="forests must share a non-empty label set"):
+            min_weight_cps(F, F2)
+
+
+def test_the_chain_is_counted_once_and_levels_start_after_it():
+    # forced and applied count the chain once, nodes and level_nodes never;
+    # on a tree pair the reduced root has no free step, so the first level
+    # expands that one state
+    for F, F2 in TRANSPOSITION_PAIRS + seeded_forest_pairs(range(4, 9), per_size=6):
+        head, rF, rF2 = _common_cherry_chain(F, F2)
+        stats, reduced = _solve(F, F2, walk=False).stats, _solve(rF, rF2, walk=False).stats
+        assert stats.nodes == sum(stats.level_nodes) == reduced.nodes
+        assert stats.level_nodes == reduced.level_nodes
+        assert (stats.forced, stats.applied) == (reduced.forced + len(head), reduced.applied + len(head))
+        if len(F.components) == 1 and stats.level_nodes:
+            assert stats.level_nodes[0] == 1
+    assert any(_common_cherry_chain(F, F2)[0] for F, F2 in TRANSPOSITION_PAIRS)
 
 
 # ---------------------------------------------------------------------------
