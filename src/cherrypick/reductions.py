@@ -349,65 +349,62 @@ def applicable_steps(F, F2):
 class ReplayResult(NamedTuple):
     weight: int
     terminal: str
-    states: tuple  # (F, F2) before each step, plus the final state
+    states: tuple  # (F, F2) before each step, plus the final state (see replay_trace)
     records: tuple
 
 
-def _check_trees(*forests):
-    """Run the full tree validation on every component not checked yet;
-    surgery builds its trees unchecked (see ``trees``)."""
-    for forest in forests:
-        for tree in forest.components:
-            tree.check()
-
-
-def _check_new_trees(before, after):
+def _check_new_trees(before, after, action):
     """Check the trees a step created, going from state `before` to state
-    `after`.  In each forest surgery replaced one component by them, so
-    each is checked against that component (see ``PhyloTree.check``);
-    the other components are the checked ones of `before`."""
+    `after` by `action` (see ``check_step``): in each forest it changed,
+    against the component surgery replaced by them and what the action
+    removed from it (see ``PhyloTree.check_surgery``).  The other
+    components are the checked ones of `before`."""
     for old, new in zip(before, after):
-        parent = next((t for t in old.components if t not in new.components), None)
-        for tree in new.components:
-            if tree not in old.components:
-                tree.check(parent)
+        if old is not new:
+            idx = old.component_index(action[1]) if action[0] == "drop" else action[2]
+            new_trees = [t for t in new.components if t not in old.components]
+            old.components[idx].check_surgery(action[-1], new_trees)
 
 
-def replay_trace(F, F2, trace):
+def replay_trace(F, F2, trace, history=True):
     """Replay a trace from a starting pair, checking every side condition,
     every tree a step creates and the terminal state; returns states and
-    surgery records.
+    surgery records.  With `history` false it holds one state at a time:
+    ``states`` is the final state alone and ``records`` is empty.
 
-    The starting components get the whole tree validation.  A tree a
-    step creates is checked against the component it was cut from: a
-    certificate checks the vertices the step changed one by one, with a
-    few C-level tests of the whole tree, and the whole pass runs
-    whenever the certificate cannot prove the tree valid, so a faulty
-    tree fails with the same error either way."""
+    The starting components get the whole tree validation.  The trees a
+    step creates are checked against the component they were cut from
+    and the action ``check_step`` resolved: a step certificate compares
+    them with what that action must leave, and the whole pass runs on
+    them whenever it cannot, so a faulty tree fails with the same error
+    either way."""
     _check_labels(F, F2)
-    _check_trees(F, F2)
-    states = [(F, F2)]
-    records = []
-    weight = 0
-    cur_F, cur_F2 = F, F2
+    for tree in F.components + F2.components:
+        tree.check()
+    states, records, weight = [(F, F2)], [], 0
     for i, step in enumerate(trace.steps):
+        state = states[-1]
         try:
-            cur_F, cur_F2, rec = apply_action(cur_F, cur_F2, check_step(cur_F, cur_F2, step))
-            _check_new_trees(states[-1], (cur_F, cur_F2))
+            action = check_step(*state, step)
+            *after, rec = apply_action(*state, action)
+            _check_new_trees(state, after, action)
         except (InapplicableStep, DuplicateLabel, ValueError) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost
-        states.append((cur_F, cur_F2))
-        records.append(rec)
-    if len(cur_F.ground_set) != 1:
-        raise BadTerminal(
-            "replay ended with %d labels, expected 1" % len(cur_F.ground_set)
-        )
-    (terminal,) = cur_F.ground_set
+        if history:
+            records.append(rec)
+        else:
+            states.pop()
+        states.append(tuple(after))
+    ground = states[-1][0].ground_set
+    if len(ground) != 1:
+        raise BadTerminal("replay ended with %d labels, expected 1" % len(ground))
+    (terminal,) = ground
     # both forests on one label are necessarily the same singleton tree
     return ReplayResult(weight, terminal, tuple(states), tuple(records))
 
 
 def validate_trace(F, F2, trace):
-    """Replay a trace and return its weight (the number of C2 steps)."""
-    return replay_trace(F, F2, trace).weight
+    """Replay a trace and return its weight (the number of C2 steps),
+    holding one state at a time."""
+    return replay_trace(F, F2, trace, history=False).weight

@@ -11,12 +11,13 @@ valid tree leaves valid trees, so ``tree_remove_leaf`` and
 ``tree_remove_edge`` build their results with ``PhyloTree._trusted``,
 which skips the copy and the whole-tree check and patches the leaf index
 from the parent.  Such a tree stays unchecked until ``check()`` runs the
-full validation on it, or ``check(parent)`` proves it valid against
-the tree it was cut from (falling back to the full validation when it
-cannot).  The trace replay (``reductions.replay_trace``,
-under ``validate_trace``, ``build_network`` and the commands built on
-them) checks every tree a step creates that way, so a trace from outside
-is held to the same checks as a parsed tree.  A forest keeps its
+full validation on it, or the checked tree it was cut from certifies it
+(``check_surgery``: equal to what the removal must leave, worked out
+anew, else the full validation).  The trace replay
+(``reductions.replay_trace``, under ``validate_trace``,
+``build_network`` and the commands built on them) checks every tree a
+step creates that way, so a trace from outside is held to the same
+checks as a parsed tree.  A forest keeps its
 components in the order given, so surgery splices new components in
 place; only the canonical form, which equality and serialization use,
 sorts them.
@@ -34,8 +35,7 @@ needs to track edge images.
 """
 
 from collections import deque
-from itertools import combinations, compress
-from operator import is_not
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -69,8 +69,9 @@ def _changed(d, ref):
     """The keys of `d` whose value is not the very object `ref` holds
     for them, as a list in `d`'s order.  Surgery shares a parent's
     frozensets, so against the parent's adjacency these are the vertices
-    it changed; the comparison runs in C."""
-    return list(compress(d, map(is_not, d.values(), map(ref.get, d))))
+    it changed."""
+    get = ref.get
+    return [k for k, v in d.items() if get(k) is not v]
 
 
 def _reach(adj, root, avoid=None):
@@ -114,74 +115,66 @@ class PhyloTree:
         tree._checked = False
         return tree
 
-    def check(self, parent=None):
-        """Validate a tree built by ``_trusted``, once; trees from the
-        public constructor are already checked.
-
-        With no argument this is the whole pass, ``_validate``.  Given
-        the checked tree that surgery cut this one from, it first tries a
-        certificate (``_certified``): a few C-level tests of the whole
-        tree, and per-vertex checks only at the vertices that differ from
-        that parent.  It runs the whole pass when the certificate cannot
-        prove the tree valid, so a faulty tree raises what ``_validate``
-        raises.  Surgery shares the parent's frozensets, so the changed
-        vertices are those whose adjacency is not the parent's object.
-        The certificate's argument:
-
-        * labels are a sub-dict of the parent's (valid, unique) on
-          vertices of this tree and keep every parent label of a vertex
-          here; ``vertex_of`` is a sub-dict of the parent's index of the
-          same size pointing at labelled vertices, hence their inverse;
-        * every vertex was in the parent and every listed neighbour is in
-          this tree; a changed vertex has no loop and a degree that fits
-          its label, and an unchanged vertex keeps its parent neighbours
-          and its label status, so its degree fits too;
-        * a pair of vertices listed by either end is a parent edge unless
-          one end is changed, and at most one such new pair (p, q) is
-          allowed, when p and q have a common parent neighbour this tree
-          lacks: the parent's path p - z - q is cut, so the pairs form a
-          forest, at most n - 1 of them.  Each pair is listed once or
-          twice and the degree sum is 2n - 2, so every pair is listed
-          twice (the adjacency is symmetric) and there are n - 1 of them:
-          a forest with n - 1 edges on n vertices is one tree.
-        """
-        if self._checked:
-            return
-        if parent is None or not parent._checked or not self._certified(parent):
+    def check(self):
+        """Validate a tree built by ``_trusted`` with the whole pass,
+        ``_validate``, once; trees from the public constructor are
+        already checked."""
+        if not self._checked:
             if self._validate() != self.vertex_of:
                 raise ValueError("leaf index does not match the labels")
-        self._checked = True
+            self._checked = True
 
-    def _certified(self, parent):
-        """True only if ``_validate`` would pass on this tree and return
-        ``vertex_of``, judged against `parent` as ``check`` argues; False
-        leaves the verdict to the whole pass."""
-        adj, labels, vertex_of = self.adj, self.labels, self.vertex_of
-        b_adj = parent.adj
-        n = len(adj)
-        if not (
-            labels.items() <= parent.labels.items()
-            and labels.keys() <= adj.keys()
-            and len(labels) == len(parent.labels.keys() & adj.keys())
-            and len(vertex_of) == len(labels)
-            and vertex_of.items() <= parent.vertex_of.items()
-            and all(map(labels.__contains__, vertex_of.values()))
-            and sum(map(len, adj.values())) == 2 * n - 2
-            and frozenset().union(*adj.values()) <= adj.keys()
-        ):
+    def check_surgery(self, removed, children):
+        """Check the trees surgery left of this checked tree on removing
+        `removed`, a leaf label (a drop) or an edge (a cut), given in the
+        order surgery gives them.  Dropping a leaf of a valid tree, or
+        cutting one of its edges, leaves valid trees, so trees the step
+        certificate (``_step_certified``) accepts are valid.  Otherwise
+        each gets the whole pass in order, so a faulty tree raises what
+        ``_validate`` raises."""
+        certified = self._checked and self._step_certified(removed, children)
+        for tree in children:
+            tree._checked |= certified
+            tree.check()
+
+    def _step_certified(self, removed, children):
+        """True only if `children` are exactly the trees that removing
+        `removed` leaves of this tree, as worked out here and not by the
+        surgery functions, so a fault in surgery cannot pass here too.  A
+        drop's tree and the larger side of a cut are compared whole.  The
+        smaller side is compared entry by entry and must list no vertex
+        outside it; as the expected forest is two trees, one holding each
+        end of the cut, the sides are those trees."""
+        adj, labels, vertex_of = dict(self.adj), dict(self.labels), dict(self.vertex_of)
+        if isinstance(removed, tuple):
+            ends = [removed, removed[::-1]]
+        else:
+            xv = vertex_of.pop(removed)
+            del labels[xv]
+            ends = [(u, xv) for u in adj.pop(xv)]
+        # a vertex of each side, then each end closed: a leaf loses its
+        # neighbour, an internal vertex is suppressed
+        roots = [z if z in labels else min(adj[z] - {gone}) for z, gone in ends]
+        for z, gone in ends:
+            if z in labels:
+                adj[z] = adj[z] - {gone}
+            else:
+                n1, n2 = adj.pop(z) - {gone}
+                adj[n1] = adj[n1] - {z} | {n2}
+                adj[n2] = adj[n2] - {z} | {n1}
+        if len(ends) < 2:
+            expected = [(adj, labels, vertex_of)] if adj else []
+            return [(t.adj, t.labels, t.vertex_of) for t in children] == expected
+        if len(children) != 2 or not all(r in t.adj for r, t in zip(roots, children)):
             return False
-        new_edges = set()
-        for v in _changed(adj, b_adj):
-            ns = adj[v]
-            if v not in b_adj or v in ns or (len(ns) > 1 if v in labels else len(ns) != 3):
-                return False
-            new_edges.update(_edge(v, w) for w in ns - b_adj[v])
-        if not new_edges:
-            return True
-        if len(new_edges) > 1:
-            return False
-        ((p, q),) = new_edges
-        return not adj.keys() >= b_adj[p] & b_adj[q]
+        small, large = sorted(children, key=lambda t: len(t.adj))
+        adj_s = {v: adj.pop(v, None) for v in small.adj}
+        labels_s = {v: labels.pop(v) for v in small.adj if v in labels}
+        vertex_of_s = {lab: vertex_of.pop(lab) for lab in labels_s.values()}
+        return frozenset().union(*small.adj.values()) <= small.adj.keys() and (
+            (small.adj, small.labels, small.vertex_of, large.adj, large.labels, large.vertex_of)
+            == (adj_s, labels_s, vertex_of_s, adj, labels, vertex_of)
+        )
 
     def _validate(self):
         """Check the adjacency and labels; returns the leaf index they

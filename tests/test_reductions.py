@@ -1,5 +1,7 @@
 """The cherry picking calculus: enumeration, application, replay."""
 
+import tracemalloc
+
 import pytest
 
 from cherrypick import trees
@@ -27,7 +29,7 @@ from cherrypick.reductions import (
     validate_trace,
 )
 from cherrypick.search import greedy_cps
-from cherrypick.trees import PhyloTree, canonical_form
+from cherrypick.trees import EndpointEffect, PhyloTree, _close_end, canonical_form
 
 
 def state(a, b):
@@ -325,6 +327,24 @@ def test_replay_bad_terminal():
         validate_trace(F, F2, short)
 
 
+def test_validate_trace_holds_one_state_at_a_time():
+    # a replay that kept every state peaked near 36 MB on this pair
+    rng = seeded_rng(400)
+    F, F2 = random_forest_pair([str(i) for i in range(400)], 1, rng)
+    trace = greedy_cps(F, F2)
+    tracemalloc.start()
+    try:
+        weight = validate_trace(F, F2, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weight == trace.weight
+    assert peak < 4_000_000
+    # the full replay still keeps every state and record
+    replay = replay_trace(F, F2, trace)
+    assert len(replay.states) == len(trace) + 1 and len(replay.records) == len(trace)
+
+
 def test_replay_states_equal_their_parsed_documents():
     # replay keeps components in surgery order, not canonical order; each
     # state still equals the forest its document parses to, and every
@@ -539,13 +559,13 @@ def _assert_caught_at_replay(docs, surgery, corrupt, monkeypatch, tmp_path, caps
         out, record = real(tree, arg)
         return (tuple(map(spoil, out)) if isinstance(out, tuple) else spoil(out)), record
 
-    def certified(tree, parent):
-        verdicts.append(certify(tree, parent))
+    def certified(parent, removed, children):
+        verdicts.append(certify(parent, removed, children))
         return verdicts[-1]
 
-    certify = PhyloTree._certified
+    certify = PhyloTree._step_certified
     monkeypatch.setattr(trees, surgery, corrupted)
-    monkeypatch.setattr(PhyloTree, "_certified", certified)
+    monkeypatch.setattr(PhyloTree, "_step_certified", certified)
     F, F2 = state(doc1, doc2)
     for check in (validate_trace, build_network):
         with pytest.raises(ReplayError) as exc:
@@ -565,11 +585,11 @@ def _assert_caught_at_replay(docs, surgery, corrupt, monkeypatch, tmp_path, caps
 
 
 def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
-    # every tree surgery creates passes the certificate against the tree
-    # it was cut from, sharing all but a few of its frozensets; a surgery
-    # change that lost them would make every check read the whole tree
+    # every tree surgery creates passes the step certificate against the
+    # tree it was cut from, sharing all but a few of its frozensets; a
+    # surgery change that lost them would make every step copy new ones
     validated, built, certified = [], [], []
-    validate, init, certify = PhyloTree._validate, PhyloTree.__init__, PhyloTree._certified
+    validate, init, certify = PhyloTree._validate, PhyloTree.__init__, PhyloTree._step_certified
 
     def counted_validate(self):
         validated.append(id(self))
@@ -579,15 +599,16 @@ def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
         built.append(id(self))
         init(self, adj, labels)
 
-    def counted_certify(self, parent):
-        unshared = sum(parent.adj.get(v) is not ns for v, ns in self.adj.items())
-        certified.append((certify(self, parent), unshared))
-        return certified[-1][0]
+    def counted_certify(self, removed, children):
+        ok = certify(self, removed, children)
+        for child in children:
+            certified.append((ok, sum(self.adj.get(v) is not ns for v, ns in child.adj.items())))
+        return ok
 
     pairs = [_pair_documents(n, 4000 + n) for n in (40, 47, 53, 60)]
     monkeypatch.setattr(PhyloTree, "_validate", counted_validate)
     monkeypatch.setattr(PhyloTree, "__init__", counted_init)
-    monkeypatch.setattr(PhyloTree, "_certified", counted_certify)
+    monkeypatch.setattr(PhyloTree, "_step_certified", counted_certify)
     for doc1, doc2, trace in pairs:
         F, F2 = state(doc1, doc2)
         weight = validate_trace(F, F2, trace)
@@ -596,5 +617,76 @@ def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
     assert validated == built
     assert len(certified) > 400 and all(ok for ok, _ in certified)
     # a step changes at most two vertices of each tree it leaves (the
-    # ends of a merged edge, or a cut's leaf end), and only those are read
+    # ends of a merged edge, or a cut's leaf end)
     assert max(unshared for _, unshared in certified) <= 2
+
+
+def _stale_neighbour(adj, labels, z, gone):
+    """``_close_end`` with one slip: the second end of the merged edge
+    keeps listing the suppressed vertex."""
+    if z in labels:
+        adj[z] = adj[z] - {gone}
+        return EndpointEffect(z, "leaf", label=labels[z])
+    n1, n2 = sorted(adj.pop(z) - {gone})
+    adj[n1] = adj[n1] - {z} | {n2}
+    adj[n2] = adj[n2] | {n1}
+    return EndpointEffect(z, "suppressed", merged_edge=(n1, n2))
+
+
+def _swap_across_merged_edge(adj, labels, z, gone):
+    """``_close_end`` followed by an interchange across the merged edge
+    when both its ends are internal: the tree stays valid, but it is not
+    the one the step leaves."""
+    effect = _close_end(adj, labels, z, gone)
+    if effect.kind == "suppressed" and not labels.keys() & effect.merged_edge:
+        n1, n2 = effect.merged_edge
+        a, c = min(adj[n1] - {n2}), min(adj[n2] - {n1})
+        adj[n1], adj[n2] = adj[n1] - {a} | {c}, adj[n2] - {c} | {a}
+        adj[a], adj[c] = adj[a] - {n1} | {n2}, adj[c] - {n2} | {n1}
+    return effect
+
+
+def test_close_end_mutant_leaving_an_invalid_tree_fails_with_the_whole_pass(monkeypatch):
+    docs = [("((1,2),(3,4));", "((1,3),(2,4));", quartet_weight1_trace()), _pair_documents(30, 3030)]
+    verdicts = []
+
+    def certified(parent, removed, children):
+        verdicts.append(certify(parent, removed, children))
+        return verdicts[-1]
+
+    certify = PhyloTree._step_certified
+    monkeypatch.setattr(trees, "_close_end", _stale_neighbour)
+    monkeypatch.setattr(PhyloTree, "_step_certified", certified)
+    for doc1, doc2, trace in docs:
+        F, F2 = state(doc1, doc2)
+        for check in (validate_trace, build_network):
+            verdicts.clear()
+            with pytest.raises(ReplayError, match=r": asymmetric adjacency$"):
+                check(F, F2, trace)
+            assert verdicts and not verdicts[-1]
+
+
+def test_close_end_mutant_leaving_a_valid_wrong_tree_is_refused(monkeypatch):
+    # the whole pass accepts the wrong trees, so the replay goes on past
+    # them; only the certificate can tell them from the step's result
+    doc1, doc2, trace = _pair_documents(30, 3030)
+    refused = []
+
+    def certified(parent, removed, children):
+        ok = certify(parent, removed, children)
+        if not ok:
+            refused.extend(children)
+        return ok
+
+    certify = PhyloTree._step_certified
+    monkeypatch.setattr(trees, "_close_end", _swap_across_merged_edge)
+    monkeypatch.setattr(PhyloTree, "_step_certified", certified)
+    F, F2 = state(doc1, doc2)
+    try:
+        validate_trace(F, F2, trace)
+    except ReplayError as exc:
+        # a later step no longer fits the wrong trees
+        assert isinstance(exc.__cause__ or exc.__context__, InapplicableStep)
+    assert refused
+    for tree in refused:
+        assert tree._validate() == tree.vertex_of

@@ -534,11 +534,11 @@ def test_check_validates_a_surgery_tree_and_its_leaf_index():
 
 
 # ---------------------------------------------------------------------------
-# the certificate check() tries on a surgery child before the whole pass
+# the step certificate check_surgery tries on surgery children before the
+# whole pass
 #
 # Each corruption changes one thing in a copy of a child's dicts (the copy
-# keeps the shared frozensets, so the certificate reads it as a child of
-# the same parent); it returns False where it does not apply.
+# keeps the shared frozensets); it returns False where it does not apply.
 
 
 def _drop_half_edge(rng, parent, adj, labels, vertex_of):
@@ -722,33 +722,74 @@ def _whole_pass_accepts(tree):
 
 
 def _surgery_children(tree, rng, k):
-    """The trees left by k random surgeries on a tree: leaf drops, and
-    both sides of cuts."""
+    """k random surgeries on a tree, leaf drops and cuts: for each, what
+    it removed (a leaf label or an edge) and the trees it left."""
     ops = [("leaf", lab) for lab in tree.vertex_of] + [("edge", e) for e in tree.edges()]
     out = []
     for kind, arg in rng.sample(ops, min(k, len(ops))):
         if kind == "leaf":
-            out.append(tree_remove_leaf(tree, arg)[0])
+            children = [tree_remove_leaf(tree, arg)[0]]
         else:
-            out.extend(tree_remove_edge(tree, arg)[0])
-    return [child for child in out if child is not None]
+            children = list(tree_remove_edge(tree, arg)[0])
+        out.append((arg, [child for child in children if child is not None]))
+    return out
+
+
+def _regroup_sides(rng, sides):
+    """A cut's two trees with every entry kept but regrouped: one vertex,
+    with its label, moved to the other side; the sides swapped; or all
+    of it on one side and nothing on the other."""
+    parts = [(dict(t.adj), dict(t.labels), dict(t.vertex_of)) for t in sides]
+    i = rng.randrange(2)
+    src, dst = parts[i], parts[1 - i]
+    mode = rng.randrange(3)
+    if mode == 0:
+        v = rng.choice(sorted(src[0]))
+        dst[0][v] = src[0].pop(v)
+        if v in src[1]:
+            lab = dst[1][v] = src[1].pop(v)
+            dst[2][lab] = src[2].pop(lab)
+    elif mode == 1:
+        parts.reverse()
+    else:
+        for d, s in zip(dst, src):
+            d.update(s)
+            s.clear()
+    return [PhyloTree._trusted(*part) for part in parts]
+
+
+def _judge(parent, removed, children, trees, corrupts):
+    """Pass `trees`, corrupted by `corrupts`, in place of the `children`
+    the removal left: if certified, the whole pass must accept each of
+    them and they must equal those children."""
+    if parent._step_certified(removed, trees):
+        # (no tree in the message: a cyclic one has no canonical form)
+        dicts = [(t.adj, t.labels, t.vertex_of) for t in trees]
+        assert all(map(_whole_pass_accepts, trees)), (corrupts, dicts)
+        assert dicts == [(t.adj, t.labels, t.vertex_of) for t in children], (corrupts, dicts)
 
 
 def _certificate_candidates(seeds, surgeries=4):
-    """Judge the certificate on corrupted surgery children of seeded trees
-    with 2-40 leaves, walked 1-5 surgery steps deep; returns the number
-    of corrupted candidates.  Every uncorrupted child must be certified,
-    and no candidate may be certified that the whole pass rejects."""
+    """Judge the step certificate on corrupted surgery children of seeded
+    trees with 2-40 leaves, walked 1-5 surgery steps deep, each passed
+    with the removal that made it beside its untouched siblings, and on
+    the regrouped sides of each cut; returns the number of corrupted
+    candidates.  Every uncorrupted result must be certified, and no
+    candidate may be certified that the whole pass rejects or that
+    differs from the trees surgery built."""
     candidates = 0
     for seed in seeds:
         rng = seeded_rng(seed)
         parent = random_tree([str(i) for i in range(rng.randint(2, 40))], rng)
         for _ in range(rng.randint(1, 5)):
-            children = _surgery_children(parent, rng, surgeries)
-            if not children:
+            results = _surgery_children(parent, rng, surgeries)
+            picks = [(removed, children, i) for removed, children in results for i in range(len(children))]
+            if not picks:
                 break
-            for child in children:
-                assert child._certified(parent)
+            for removed, children in results:
+                assert parent._step_certified(removed, children)
+            for removed, children, i in picks:
+                child = children[i]
                 # each corruption alone, then random pairs of them
                 for corrupts in [(c,) for c in CORRUPTIONS] + [
                     tuple(rng.choices(CORRUPTIONS, k=2)) for _ in CORRUPTIONS
@@ -758,12 +799,15 @@ def _certificate_candidates(seeds, surgeries=4):
                         continue
                     candidates += 1
                     tree = PhyloTree._trusted(adj, labels, vertex_of)
-                    # (no tree in the message: a cyclic one has no canonical form)
-                    sound = not tree._certified(parent) or _whole_pass_accepts(tree)
-                    assert sound, (corrupts, adj, labels, vertex_of)
-            child = rng.choice(children)
-            child.check(parent)
-            parent = child
+                    _judge(parent, removed, children, children[:i] + [tree] + children[i + 1:], corrupts)
+            for removed, children in results:
+                if isinstance(removed, tuple):
+                    for _ in range(4):
+                        candidates += 1
+                        _judge(parent, removed, children, _regroup_sides(rng, children), "regrouped")
+            removed, children, _ = rng.choice(picks)
+            parent.check_surgery(removed, children)
+            parent = rng.choice(children)
     return candidates
 
 
@@ -788,10 +832,11 @@ def _hand_made_child(parent_adj, parent_labels, lost, changed):
 
 
 @pytest.mark.parametrize(
-    "parent_adj, parent_labels, lost, changed, message",
+    "parent_adj, parent_labels, lost, changed, message, removed",
     [
-        # p (13) and q (11) still meet through m (12): the one new edge
-        # (p, q) closes a cycle, and leaf 0 is left alone
+        # dropping l1 suppresses 10; p (13) and q (11) still meet through
+        # m (12): the one new edge (p, q) closes a cycle, and leaf 0 is
+        # left alone
         (
             {0: [10], 1: [10], 2: [13], 3: [11], 4: [12], 5: [13],
              10: [0, 1, 11], 11: [10, 12, 3], 12: [11, 13, 4], 13: [12, 2, 5]},
@@ -799,24 +844,40 @@ def _hand_made_child(parent_adj, parent_labels, lost, changed):
             {1, 2, 10},
             {0: [], 13: [12, 5, 11], 11: [12, 3, 13]},
             "tree is disconnected",
+            "l1",
         ),
-        # a loop at 10 in place of its lost leaf, and leaf 1 left alone
-        # while 11 still lists it
+        # dropping l0: a loop at 10 in place of its lost leaf, and leaf 1
+        # left alone while 11 still lists it
         (
             {0: [10], 1: [11], 2: [10], 3: [11], 10: [0, 11, 2], 11: [10, 1, 3]},
             {i: "l%d" % i for i in range(4)},
             {0},
             {10: [10, 11, 2], 1: []},
             "loop at vertex 10",
+            "l0",
         ),
     ],
 )
 def test_certificate_rejects_what_only_its_cycle_guards_catch(
-    parent_adj, parent_labels, lost, changed, message
+    parent_adj, parent_labels, lost, changed, message, removed
 ):
-    # every count and degree fits in both children; only the common
-    # neighbour test and the loop test tell them from a tree
+    # every count and degree fits in both children; only a test that
+    # sees the cycle tells them from a tree
     parent, child = _hand_made_child(parent_adj, parent_labels, lost, changed)
-    assert not child._certified(parent)
+    assert not parent._step_certified(removed, [child])
     with pytest.raises(ValueError, match=message):
-        child.check(parent)
+        parent.check_surgery(removed, [child])
+
+
+def test_check_surgery_runs_the_whole_pass_below_an_unchecked_tree():
+    # the certificate argues from a valid tree: the child of an unchecked
+    # one equals what the drop leaves and still gets the whole pass
+    adj = {0: [4], 1: [4], 2: [5], 3: [5], 4: [0, 1, 6], 5: [2, 3, 6], 6: [4, 5]}
+    labels = {0: "1", 1: "2", 2: "3", 3: "4"}
+    parent = PhyloTree._trusted(
+        {v: frozenset(ns) for v, ns in adj.items()}, labels, {lab: v for v, lab in labels.items()}
+    )
+    child, _ = tree_remove_leaf(parent, "1")
+    assert parent._step_certified("1", [child])
+    with pytest.raises(ValueError, match="internal vertex 6 has degree 2"):
+        parent.check_surgery("1", [child])
