@@ -16,186 +16,27 @@ edge lies on at most one image, so an index from network edge to the
 image using it lets a subdivision patch just that path, and the network
 keeps a running edge count, so each step costs what it touches.
 
-The images are checked after every step, and the check means what one
-whole pass means: every path of both forests is a walk in the network
-between the images of its ends, every leaf is mapped to its network
-leaf, and the components of each forest have vertex-disjoint images.
-Below ``FULL_CHECK_BELOW`` network vertices the whole pass runs, where it
-is the cheaper one.  From that size on the check costs what the step
-wrote.  The maps it reads (network adjacency, the network's leaf index,
-and per side the tree-vertex map and the image paths) hold immutable
-values and log every key written or deleted.  The check keeps the
-network adjacency it accepted and, per side, the forest it accepted and
-an index from each network vertex to the tree vertices and edges whose
-images use it.  It re-checks the tree vertices and edges that are new or
-whose adjacency changed (an identity diff of the components it has not
-seen; surgery shares the adjacency sets of untouched vertices), images
-whose key was written or that pass through a network vertex that lost a
-neighbour, endpoints and leaves whose vertex-map or leaf-index entry was
-written, and disjointness at the network vertices that gained a claim.
-Every other condition reads the same inputs as when it last passed.  The
-index is built afresh on the first call, after a failure, and when the
-forests are not a growth of the accepted ones (a component split or a
-tree vertex gone), which the reverse replay never produces.  A fault is
-always reported by the whole pass, so the message names the first fault
-in its order.
+With ``verify`` (the default) ``build_network`` checks the images once,
+after the last undo step, on the input forests: every path of both
+forests is a walk in the network between the images of its ends, every
+leaf is mapped to its network leaf, and the components of each forest
+have vertex-disjoint images.  That pass is what certifies the output:
+vertex-disjoint subdivisions of a forest's components whose leaves sit
+at their network leaves show that the network displays the forest.  The
+forest pairs in between need no image check of their own.  Each is a
+replay state, which the replay checked against the step that made it,
+and whatever an undo step reads of the images it checks as it goes
+(``subdivide``, ``_own``, ``pop_path``, ``peek_path``, and the
+reticulation number each undo step must leave).  A fault still in the
+images after the last step is found by the pass, which names the first
+fault in its order; one that a later step wrote over does not reach the
+output.
 """
 
 from .errors import ImageTrackingError
 from .networks import PseudoNetwork, reticulation_number
 from .reductions import replay_trace
-from .trees import Forest, PhyloTree, _changed, _edge
-
-# Below this many network vertices the whole image check is cheaper than
-# keeping the index that the incremental one reads and writes.
-FULL_CHECK_BELOW = 64
-
-_NO_EDGES = frozenset()
-
-
-class _Logged(dict):
-    """A dict that records every key written or deleted in ``written``, so
-    the image check can tell which of its inputs changed."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.written = set()
-
-    def __setitem__(self, key, value):
-        self.written.add(key)
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key):
-        self.written.add(key)
-        dict.__delitem__(self, key)
-
-    def pop(self, key, *default):
-        self.written.add(key)
-        return dict.pop(self, key, *default)
-
-    def _unlogged(self, *args, **kwargs):
-        raise TypeError("write image maps by key, so the write is logged")
-
-    setdefault = update = popitem = clear = __ior__ = _unlogged
-
-
-class _Seen:
-    """What the image check last accepted on one side of the build: the
-    components by identity, their merged adjacency and labels, and every
-    image it checked, with an index from each network vertex to the
-    images using it.  An image is keyed by its tree edge, or by (t, t)
-    for tree vertex t."""
-
-    __slots__ = ("trees", "adj", "labels", "image", "users")
-
-    def __init__(self):
-        self.trees, self.adj, self.labels, self.image, self.users = {}, {}, {}, {}, {}
-
-    def recheck(self, forest, vmap, epath, net_adj, leaf_of, cut):
-        """Re-check the images of `forest` whose inputs changed since this
-        side was accepted, and take `forest` in; `cut` maps each network
-        vertex that lost neighbours to them.  False when a check fails or
-        `forest` is not a growth of the accepted forest (this side is
-        then spoilt)."""
-        grown = self._grow(forest)
-        if grown is None:
-            return False
-        verts, edges = grown
-        adj, image, users = self.adj, self.image, self.users
-        for t in vmap.written:
-            if t in adj:
-                verts.add(t)
-                edges.update(_edge(t, w) for w in adj[t])
-        for a, b in epath.written:
-            if a < b and b in adj.get(a, ()):
-                edges.add((a, b))
-        for w, lost in cut.items():
-            for key in users.get(w, ()):
-                if key[0] != key[1] and not lost.isdisjoint(image[key]):
-                    edges.add(key)
-        for lab in leaf_of.written:
-            for t in forest.components:
-                if lab in t.vertex_of:
-                    verts.add(t.vertex_of[lab])
-
-        gained = set()
-        for t in verts:
-            nv = vmap.get(t)
-            lab = self.labels.get(t)
-            if nv is None or (lab is not None and leaf_of.get(lab) != nv):
-                return False
-            self._claim((t, t), (nv,), gained)
-        for e in edges:
-            path = epath.get(e)
-            if path is None or path[0] != vmap.get(e[0]) or path[-1] != vmap.get(e[1]):
-                return False
-            for u, v in zip(path, path[1:]):
-                if v not in net_adj.get(u, ()):
-                    return False
-            self._claim(e, path, gained)
-        for w in gained:
-            keys = users[w]
-            if len(keys) > 1 and not set(next(iter(keys))).intersection(*keys):
-                # no tree vertex common to all its images: one component?
-                a = next(iter(keys))[0]
-                home = next((t.adj for t in forest.components if a in t.adj), ())
-                if any(key[0] not in home for key in keys):
-                    return False
-        return True
-
-    def _grow(self, forest):
-        """Take in the components of `forest`.  Returns the tree vertices
-        that are new or whose adjacency or label changed, and the tree
-        edges at them; None when `forest` is not a growth of the accepted
-        forest."""
-        live = {id(t): t for t in forest.components}
-        changed = [t for i, t in live.items() if i not in self.trees]
-        verts, edges = set(), set()
-        if not changed and len(live) == len(self.trees):
-            return verts, edges
-        for i, r in self.trees.items():
-            if i not in live:
-                # every accepted component lies inside one current one
-                v = next(iter(r.adj))
-                home = next((t for t in changed if v in t.adj), None)
-                if home is None or not r.adj.keys() <= home.adj.keys():
-                    return None
-        adj, labels = self.adj, self.labels
-        for t in changed:
-            tadj, tlabels = t.adj, t.labels
-            for v in _changed(tadj, adj):
-                ns = tadj[v]
-                if v in adj:
-                    for w in adj[v] - ns:
-                        self._drop(_edge(v, w))  # a tree edge that is gone
-                edges.update(_edge(v, w) for w in ns)
-                adj[v] = ns
-                verts.add(v)
-            for v in _changed(tlabels, labels):
-                labels[v] = tlabels[v]
-                verts.add(v)
-        self.trees = live
-        if len(adj) != sum(len(t.adj) for t in forest.components):
-            return None  # components share vertex ids
-        return verts, edges
-
-    def _claim(self, key, path, gained):
-        """Record `path` as the image of `key`, adding the network vertices
-        of a changed image to `gained`."""
-        if self.image.get(key, ()) != path:
-            self._drop(key)
-            self.image[key] = path
-            users = self.users
-            for w in path:
-                if w in users:
-                    users[w].add(key)
-                else:
-                    users[w] = {key}
-            gained.update(path)
-
-    def _drop(self, key):
-        for w in self.image.pop(key, ()):
-            self.users[w].discard(key)
+from .trees import Forest, PhyloTree, _edge
 
 
 class BuildState:
@@ -216,9 +57,6 @@ class BuildState:
         self.epath = ({}, {})
         # per side: sorted network-edge pair -> key of the image using it
         self.owner = ({}, {})
-        # what the last image check accepted: the network adjacency and
-        # a _Seen per side; None when the next check starts afresh
-        self.seen = None
 
     # -- network primitives --------------------------------------------------
 
@@ -414,56 +252,9 @@ class BuildState:
     # -- verification ------------------------------------------------------
 
     def verify_images(self, state):
-        """Check that the tracked images of both forests of `state` are
-        valid vertex-disjoint subdivisions inside the current network;
-        raises exactly when the whole pass would (see the module doc)."""
-        seen, self.seen = self.seen, None
-        if len(self.adj) < FULL_CHECK_BELOW:
-            self._check_all(state)
-            return
-        if seen is None or not self._recheck(seen, state):
-            self._log_writes()
-            seen = (dict(self.adj), (_Seen(), _Seen()))
-            if not self._recheck(seen, state):
-                self._check_all(state)  # raises, naming the fault in its order
-                seen = None  # it passed: components share vertex ids
-        self.seen = seen
-        for log in (self.adj, self.vertex_of) + self.vmap + self.epath:
-            log.written.clear()
-
-    def _log_writes(self):
-        """From now on, log the writes to the maps the image check reads;
-        small builds, checked in full, do without the cost."""
-        if type(self.adj) is not _Logged:
-            self.adj, self.vertex_of = _Logged(self.adj), _Logged(self.vertex_of)
-            self.vmap = tuple(map(_Logged, self.vmap))
-            self.epath = tuple(map(_Logged, self.epath))
-
-    def _recheck(self, seen, state):
-        """Re-check what changed since `seen` (the network adjacency and
-        the ``_Seen`` of each side) was accepted, and grow it to `state`.
-        False when a check fails or `state` is not a growth of the
-        accepted forests; `seen` is then spoilt."""
-        net, sides = seen
-        adj = self.adj
-        # a path hop u -> v breaks only when u lost the neighbour v
-        cut = {}
-        for w in adj.written:
-            lost = net.get(w, _NO_EDGES) - adj.get(w, _NO_EDGES)
-            if lost:
-                cut[w] = lost
-        for side, forest in enumerate(state):
-            if not sides[side].recheck(
-                forest, self.vmap[side], self.epath[side], adj, self.vertex_of, cut
-            ):
-                return False
-        for w in adj.written:
-            net[w] = adj.get(w, _NO_EDGES)
-        return True
-
-    def _check_all(self, state):
-        """The whole image check: every path, endpoint and leaf of every
-        component, in component order."""
+        """The whole image check of both forests of `state`: every path,
+        endpoint and leaf of every component, in component order, and
+        vertex-disjoint images for the components of each forest."""
         adj = self.adj
         for side, forest in enumerate(state):
             vmap, epath = self.vmap[side], self.epath[side]
@@ -520,7 +311,10 @@ def _ids_apart(forest):
 
 def build_network(F, F2, trace, verify=True):
     """A phylogenetic network on the shared label set displaying both
-    forests, with reticulation number at most the trace weight."""
+    forests, with reticulation number at most the trace weight.  With
+    `verify` the images of both forests are checked once, after the last
+    undo step (see the module doc); the multi-edge and weight checks run
+    either way."""
     F, F2 = _ids_apart(F), _ids_apart(F2)
     replay = replay_trace(F, F2, trace)
 
@@ -538,8 +332,8 @@ def build_network(F, F2, trace, verify=True):
             state.attach_leaf(trace.steps[i], rec[1], rec[2])
         else:
             state.add_display_edge(rec[1], rec[2])
-        if verify:
-            state.verify_images(replay.states[i])
+    if verify:
+        state.verify_images(replay.states[0])
 
     network = PseudoNetwork(state.edges(), state.labels)
     if not network.is_simple:

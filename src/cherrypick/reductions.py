@@ -376,8 +376,9 @@ def replay_trace(F, F2, trace, history=True):
     step creates are checked against the component they were cut from
     and the action ``check_step`` resolved: a step certificate compares
     them with what that action must leave, and the whole pass runs on
-    them whenever it cannot, so a faulty tree fails with the same error
-    either way."""
+    them whenever it cannot, so an invalid tree fails with the same error
+    either way, and a valid tree the action does not leave fails at its
+    step."""
     _check_labels(F, F2)
     for tree in F.components + F2.components:
         tree.check()

@@ -13,8 +13,8 @@ which skips the copy and the whole-tree check and patches the leaf index
 from the parent.  Such a tree stays unchecked until ``check()`` runs the
 full validation on it, or the checked tree it was cut from certifies it
 (``check_surgery``: equal to what the removal must leave, worked out
-anew, else the full validation).  The trace replay
-(``reductions.replay_trace``, under ``validate_trace``,
+anew; else the full validation, and a refusal even if that passes).
+The trace replay (``reductions.replay_trace``, under ``validate_trace``,
 ``build_network`` and the commands built on them) checks every tree a
 step creates that way, so a trace from outside is held to the same
 checks as a parsed tree.  A forest keeps its
@@ -63,15 +63,6 @@ def is_valid_label(name):
 
 def _edge(u, v):
     return (u, v) if u < v else (v, u)
-
-
-def _changed(d, ref):
-    """The keys of `d` whose value is not the very object `ref` holds
-    for them, as a list in `d`'s order.  Surgery shares a parent's
-    frozensets, so against the parent's adjacency these are the vertices
-    it changed."""
-    get = ref.get
-    return [k for k, v in d.items() if get(k) is not v]
 
 
 def _reach(adj, root, avoid=None):
@@ -125,17 +116,21 @@ class PhyloTree:
             self._checked = True
 
     def check_surgery(self, removed, children):
-        """Check the trees surgery left of this checked tree on removing
+        """Check the trees surgery left of this tree on removing
         `removed`, a leaf label (a drop) or an edge (a cut), given in the
         order surgery gives them.  Dropping a leaf of a valid tree, or
-        cutting one of its edges, leaves valid trees, so trees the step
-        certificate (``_step_certified``) accepts are valid.  Otherwise
-        each gets the whole pass in order, so a faulty tree raises what
-        ``_validate`` raises."""
+        cutting one of its edges, leaves valid trees, so when this tree
+        is checked, trees the step certificate (``_step_certified``)
+        accepts are valid.  Otherwise each gets the whole pass in order,
+        so an invalid tree raises what ``_validate`` raises; and if this
+        tree is checked and every refused tree is valid, surgery left
+        trees the step does not leave, which raises too."""
         certified = self._checked and self._step_certified(removed, children)
         for tree in children:
             tree._checked |= certified
             tree.check()
+        if self._checked and not certified:
+            raise ValueError("surgery left a tree the step does not leave")
 
     def _step_certified(self, removed, children):
         """True only if `children` are exactly the trees that removing

@@ -2,9 +2,8 @@
 
 import pytest
 
-from cherrypick import builder
-from cherrypick.builder import BuildState, _ids_apart, _Seen, build_network
-from cherrypick.errors import GroundSetMismatch, ImageTrackingError, InvalidTrace
+from cherrypick.builder import BuildState, _ids_apart, build_network
+from cherrypick.errors import GroundSetMismatch, ImageTrackingError, InvalidTrace, ScaleGuard
 from cherrypick.generate import random_forest_pair, random_tree, seeded_rng
 from cherrypick.networks import network_from_tree, reticulation_number
 from cherrypick.newick import parse_forest
@@ -19,7 +18,7 @@ from cherrypick.reductions import (
 from cherrypick.search import greedy_cps, min_weight_cps
 from cherrypick.trees import Forest, PhyloTree, _edge
 
-from util import networks_isomorphic, verify_images_in_full
+from util import networks_isomorphic
 
 
 def test_weight_zero_trace_builds_the_tree_back():
@@ -299,7 +298,7 @@ def test_verify_rejects_leaves_that_swapped_labels(monkeypatch):
 def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):
     # drop the owner-index entry of the last indexed edge to be subdivided:
     # the image using that edge is not patched and no later undo reads it,
-    # so only the verification after the step can notice
+    # so only the image check after the last step can notice
     F, F2 = parse_forest(CORRUPT_F), parse_forest(CORRUPT_F2)
     trace = min_weight_cps(F, F2).witness
     subdivide = BuildState.subdivide
@@ -330,45 +329,49 @@ def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):
         build_network(F, F2, trace, verify=True)
 
 
-NEGATIVE_CASES = [
-    test_verify_rejects_a_vertex_dropped_from_a_path,
-    test_verify_rejects_an_unmapped_tree_vertex,
-    test_verify_rejects_overlapping_component_images,
-    test_verify_rejects_a_leaf_mapped_to_the_wrong_vertex,
-    test_verify_rejects_a_path_through_another_components_leaf,
-    test_verify_rejects_leaves_that_swapped_labels,
-    test_verify_catches_a_path_the_edge_index_lost,
-]
+def _spy_on_undo_steps(monkeypatch, after):
+    """Call `after(state)` after each undo step of every build."""
+
+    def spied(real):
+        def undo(self, *args):
+            real(self, *args)
+            after(self)
+
+        return undo
+
+    for name in ("attach_leaf", "add_display_edge"):
+        monkeypatch.setattr(BuildState, name, spied(getattr(BuildState, name)))
 
 
-def test_a_split_component_is_not_a_growth():
-    # the incremental check relies on forests only growing between calls:
-    # a forest that splits an accepted component, even one that keeps
-    # every vertex, must send the check back to the whole pass
-    seen = _Seen()
-    assert seen._grow(Forest([PhyloTree({0: {1}, 1: {0}}, {0: "a", 1: "b"})])) is not None
-    split = Forest([PhyloTree({0: set()}, {0: "a"}), PhyloTree({1: set()}, {1: "b"})])
-    assert seen._grow(split) is None
+def test_verify_checks_the_images_once_after_the_last_undo_step(monkeypatch):
+    calls = []
+    verify = BuildState.verify_images
 
+    def spy(self, pair):
+        calls.append(pair)
+        verify(self, pair)
 
-@pytest.mark.parametrize("case", NEGATIVE_CASES, ids=lambda case: case.__name__[len("test_verify_") :])
-def test_incremental_check_rejects_the_same_corruptions(case, monkeypatch):
-    # these networks are small enough for the whole check; run each case
-    # again with the incremental check from the first step on
-    monkeypatch.setattr(builder, "FULL_CHECK_BELOW", 0)
-    case(monkeypatch)
+    monkeypatch.setattr(BuildState, "verify_images", spy)
+    _spy_on_undo_steps(monkeypatch, lambda state: calls.append("undo"))
+    F, F2 = parse_forest(CORRUPT_F), parse_forest(CORRUPT_F2)
+    trace = min_weight_cps(F, F2).witness
+    build_network(F, F2, trace, verify=False)
+    assert calls == ["undo"] * len(trace.steps)
+    calls.clear()
+    build_network(F, F2, trace)
+    # the input forests themselves: their vertex ids are already apart
+    assert calls[:-1] == ["undo"] * len(trace.steps)
+    assert calls[-1][0] is F and calls[-1][1] is F2
 
 
 def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
     checked = []
-    verify = BuildState.verify_images
 
-    def spy(self, pair):
-        assert self.edge_count == sum(len(ns) for ns in self.adj.values()) // 2
+    def count(state):
+        assert state.edge_count == sum(len(ns) for ns in state.adj.values()) // 2
         checked.append(1)
-        verify(self, pair)
 
-    monkeypatch.setattr(BuildState, "verify_images", spy)
+    _spy_on_undo_steps(monkeypatch, count)
     rng = seeded_rng(1919)
     for _ in range(25):
         n_labels = rng.randint(6, 30)
@@ -380,7 +383,7 @@ def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):
         assert len(checked) - before == len(trace.steps)
 
 
-# -- the incremental check against the whole pass ----------------------------
+# -- a faulty build raises or returns a network that is right ---------------
 
 
 def _corrupt(state, rng):
@@ -425,67 +428,55 @@ def _corrupt(state, rng):
     return kind
 
 
-def _outcome(check, *args):
-    try:
-        check(*args)
-    except (ImageTrackingError, LookupError) as exc:
-        return type(exc).__name__, str(exc)
-    return None
-
-
-def _side_by_side(F, F2, trace, monkeypatch, rng=None):
-    """Build with the whole reference pass beside ``verify_images`` at
-    every step, after one corruption at a step drawn by `rng`, if given;
-    a failed check does not stop the build, so the checks after it are
-    compared too.  Returns the (reference, check) outcomes of every call."""
-    verify = BuildState.verify_images
-    when = rng.randrange(len(trace.steps)) if rng else None
-    outcomes = []
-
-    def both(state, pair):
-        if len(outcomes) == when:
-            _corrupt(state, rng)
-        outcomes.append((_outcome(verify_images_in_full, state, pair), _outcome(verify, state, pair)))
-
+def _judged_build(F, F2, trace, monkeypatch, rng=None):
+    """Build, after one corruption at an undo step drawn by `rng`, if
+    given.  Returns "raised" when the build fails, "judged" when it
+    returns a network with r(N) <= weight that displays both forests,
+    and "unjudged" when that network is too large for ``displays``; a
+    returned network that is judged wrong fails the test."""
     with monkeypatch.context() as m:
-        m.setattr(BuildState, "verify_images", both)
+        if rng:
+            when = rng.randrange(len(trace.steps))
+            done = []
+
+            def corrupt_once(state):
+                if len(done) == when:
+                    _corrupt(state, rng)
+                done.append(1)
+
+            _spy_on_undo_steps(m, corrupt_once)
         try:
-            build_network(F, F2, trace)
+            net = build_network(F, F2, trace)
         except (ImageTrackingError, LookupError, ValueError):
-            pass  # a corrupted or faulty build may fail in the builder itself
-    return outcomes
+            return "raised"
+    assert reticulation_number(net) <= trace.weight
+    try:
+        shown = displays(net, F) is not None and displays(net, F2) is not None
+    except ScaleGuard:
+        return "unjudged"
+    assert shown
+    return "judged"
 
 
-def _differential_builds(count, seed, monkeypatch):
-    rng = seeded_rng(seed)
-    calls = []
-    for i in range(count):
-        # the whole check below its size, the incremental one from the
-        # first step on, or a switch from the one to the other mid-build
-        monkeypatch.setattr(builder, "FULL_CHECK_BELOW", rng.choice([0, 0, 12, 64]))
-        n = rng.randint(4, 30)
-        labels = [str(j) for j in range(1, n + 1)]
-        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
-        if n <= 8 and i % 2:
-            trace = min_weight_cps(F, F2).witness
-        else:
-            trace = greedy_cps(F, F2)
+def _random_instance(rng, exact):
+    """A seeded forest pair on 4-30 leaves and a trace for it: a minimum
+    witness if `exact` and there are at most 8 leaves, else greedy's."""
+    n = rng.randint(4, 30)
+    labels = [str(j) for j in range(1, n + 1)]
+    F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+    if n <= 8 and exact:
+        return F, F2, min_weight_cps(F, F2).witness
+    return F, F2, greedy_cps(F, F2)
+
+
+def test_a_corrupted_build_raises_or_returns_a_network_that_displays_both_forests(monkeypatch):
+    rng = seeded_rng(2525)
+    verdicts = []
+    for i in range(300):
+        F, F2, trace = _random_instance(rng, exact=i % 2)
         if trace.steps:
-            calls += _side_by_side(F, F2, trace, monkeypatch, rng)
-    return calls
-
-
-def test_incremental_check_raises_exactly_when_the_whole_pass_does(monkeypatch):
-    calls = _differential_builds(300, 2525, monkeypatch)
-    assert [ref for ref, _ in calls] == [new for _, new in calls]
-    raised = sum(ref is not None for ref, _ in calls)
-    assert raised > 100 and len(calls) - raised > 3000
-
-
-@pytest.mark.slow
-def test_incremental_check_raises_exactly_when_the_whole_pass_does_at_scale(monkeypatch):
-    calls = _differential_builds(1500, 2626, monkeypatch)
-    assert [ref for ref, _ in calls] == [new for _, new in calls]
+            verdicts.append(_judged_build(F, F2, trace, monkeypatch, rng))
+    assert verdicts.count("raised") > 200 and verdicts.count("judged") >= 1
 
 
 def _subdivide_one_side(real):
@@ -543,18 +534,10 @@ def _owner_entry_dropped(real):
         ("_own", _owner_entry_dropped),
     ],
 )
-def test_incremental_check_rejects_what_the_whole_pass_rejects_under_mutants(
+def test_a_mutant_build_raises_or_returns_a_network_that_displays_both_forests(
     method, mutant, monkeypatch
 ):
     monkeypatch.setattr(BuildState, method, mutant(getattr(BuildState, method)))
     rng = seeded_rng(2727)
-    rejected = 0
-    for _ in range(150):
-        monkeypatch.setattr(builder, "FULL_CHECK_BELOW", rng.choice([0, 12, 64]))
-        n = rng.randint(4, 30)
-        labels = [str(j) for j in range(1, n + 1)]
-        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
-        calls = _side_by_side(F, F2, greedy_cps(F, F2), monkeypatch)
-        assert [ref for ref, _ in calls] == [new for _, new in calls]
-        rejected += any(ref is not None for ref, _ in calls)
-    assert rejected  # the mutant reaches the check on some build
+    verdicts = [_judged_build(*_random_instance(rng, exact=False), monkeypatch) for _ in range(150)]
+    assert "raised" in verdicts  # the mutant reaches a check on some build

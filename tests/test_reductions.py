@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from cherrypick import trees
+from cherrypick import reductions, trees
 from cherrypick.builder import build_network
 from cherrypick.cli import main
 from cherrypick.errors import (
@@ -667,26 +667,34 @@ def test_close_end_mutant_leaving_an_invalid_tree_fails_with_the_whole_pass(monk
 
 
 def test_close_end_mutant_leaving_a_valid_wrong_tree_is_refused(monkeypatch):
-    # the whole pass accepts the wrong trees, so the replay goes on past
-    # them; only the certificate can tell them from the step's result
+    # the whole pass accepts the wrong trees; only the certificate can
+    # tell them from the step's result, and the replay fails at the first
+    # step that left one
     doc1, doc2, trace = _pair_documents(30, 3030)
-    refused = []
+    steps, refused = [], []
+
+    def counted_check_step(F, F2, step):
+        steps.append(step)
+        return check(F, F2, step)
 
     def certified(parent, removed, children):
         ok = certify(parent, removed, children)
         if not ok:
-            refused.extend(children)
+            refused.append((len(steps) - 1, children))
         return ok
 
-    certify = PhyloTree._step_certified
+    check, certify = reductions.check_step, PhyloTree._step_certified
     monkeypatch.setattr(trees, "_close_end", _swap_across_merged_edge)
+    monkeypatch.setattr(reductions, "check_step", counted_check_step)
     monkeypatch.setattr(PhyloTree, "_step_certified", certified)
     F, F2 = state(doc1, doc2)
-    try:
-        validate_trace(F, F2, trace)
-    except ReplayError as exc:
-        # a later step no longer fits the wrong trees
-        assert isinstance(exc.__cause__ or exc.__context__, InapplicableStep)
-    assert refused
-    for tree in refused:
-        assert tree._validate() == tree.vertex_of
+    for check_trace in (validate_trace, build_network):
+        steps.clear()
+        refused.clear()
+        with pytest.raises(ReplayError) as exc:
+            check_trace(F, F2, trace)
+        assert exc.value.reason.endswith(": surgery left a tree the step does not leave")
+        (first, children), = refused
+        assert exc.value.step_index == first == len(steps) - 1 < len(trace.steps) - 1
+        for tree in children:
+            assert tree._validate() == tree.vertex_of

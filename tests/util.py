@@ -1,9 +1,8 @@
 """Shared test helpers: an independent topology enumerator, a
 label-respecting network isomorphism check, two brute-force minimum
 cherry picking sequences, a witness walk that enumerates every step, the
-whole image check of the network builder, the display enumeration
-without pruning, seeded near tree pairs and the environment of a child
-Python process.
+display enumeration without pruning, seeded near tree pairs and the
+environment of a child Python process.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) or kept in their plain form, so they can
@@ -24,7 +23,6 @@ from cherrypick.reductions import (
     apply_step,
     legal_moves,
 )
-from cherrypick.errors import ImageTrackingError
 from cherrypick.generate import random_tree, seeded_rng
 from cherrypick.oracles import ComponentImage, EmbeddingImage, _attach_points, _reconnect
 from cherrypick.trees import Forest, PhyloTree, _edge, restrict
@@ -230,46 +228,6 @@ def witness_full_enumeration(F, F2, weight):
                 F, F2, need = nF, nF2, need - step.cost
                 break
     return ReductionTrace(tuple(steps))
-
-
-def verify_images_in_full(state, pair):
-    """The builder's image check as one pass over everything: every path
-    of both forests of `pair` for validity, endpoints and leaf placement,
-    and the components of each forest for vertex-disjointness, in
-    component order.  `state` is a ``BuildState``."""
-    adj = state.adj
-    for side, forest in enumerate(pair):
-        vmap, epath = state.vmap[side], state.epath[side]
-        claimed = set()
-        for tree in forest.components:
-            comp_vertices = set()
-            for a in tree.adj:
-                if a not in vmap:
-                    raise ImageTrackingError("unmapped tree vertex %r" % (a,))
-                comp_vertices.add(vmap[a])
-            for a, ns in tree.adj.items():
-                for b in ns:
-                    if b < a:
-                        continue
-                    path = epath.get((a, b))
-                    if path is None:
-                        raise ImageTrackingError("no tracked image for forest edge %r" % ((a, b),))
-                    if path[0] != vmap[a] or path[-1] != vmap[b]:
-                        raise ImageTrackingError("path endpoints out of sync")
-                    u = path[0]
-                    for v in path[1:]:
-                        if v not in adj[u]:
-                            raise ImageTrackingError("tracked path leaves the network")
-                        u = v
-                    comp_vertices.update(path)
-            if not claimed.isdisjoint(comp_vertices):
-                raise ImageTrackingError(
-                    "component images share vertices %s" % sorted(claimed & comp_vertices)
-                )
-            claimed |= comp_vertices
-            for lab, tv in tree.vertex_of.items():
-                if vmap[tv] != state.vertex_of[lab]:
-                    raise ImageTrackingError("leaf %r mapped to the wrong vertex" % lab)
 
 
 def displays_unpruned(network, forest):
