@@ -311,14 +311,15 @@ def _ids_apart(forest):
 
 def build_network(F, F2, trace, verify=True):
     """A phylogenetic network on the shared label set displaying both
-    forests, with reticulation number at most the trace weight.  With
-    `verify` the images of both forests are checked once, after the last
-    undo step (see the module doc); the multi-edge and weight checks run
-    either way."""
+    forests, with reticulation number at most the trace weight.  The
+    replay holds one state at a time; the undo steps read only its final
+    state and its records.  With `verify` the images of both forests are
+    checked once, after the last undo step, on the forests replayed (see
+    the module doc); the multi-edge and weight checks run either way."""
     F, F2 = _ids_apart(F), _ids_apart(F2)
     replay = replay_trace(F, F2, trace)
 
-    last_F, last_F2 = replay.states[-1]
+    last_F, last_F2 = replay.final
     state = BuildState(
         replay.terminal,
         (
@@ -333,7 +334,7 @@ def build_network(F, F2, trace, verify=True):
         else:
             state.add_display_edge(rec[1], rec[2])
     if verify:
-        state.verify_images(replay.states[0])
+        state.verify_images((F, F2))
 
     network = PseudoNetwork(state.edges(), state.labels)
     if not network.is_simple:

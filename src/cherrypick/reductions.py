@@ -349,8 +349,8 @@ def applicable_steps(F, F2):
 class ReplayResult(NamedTuple):
     weight: int
     terminal: str
-    states: tuple  # (F, F2) before each step, plus the final state (see replay_trace)
-    records: tuple
+    final: tuple  # the last (F, F2), both on the terminal label alone
+    records: tuple  # each step's surgery record, in trace order
 
 
 def _check_new_trees(before, after, action):
@@ -366,11 +366,12 @@ def _check_new_trees(before, after, action):
             old.components[idx].check_surgery(action[-1], new_trees)
 
 
-def replay_trace(F, F2, trace, history=True):
+def replay_trace(F, F2, trace):
     """Replay a trace from a starting pair, checking every side condition,
-    every tree a step creates and the terminal state; returns states and
-    surgery records.  With `history` false it holds one state at a time:
-    ``states`` is the final state alone and ``records`` is empty.
+    every tree a step creates and the terminal state; returns the weight,
+    the terminal label, the final state and each step's surgery record.
+    It holds one state at a time: a step's state is dropped once the next
+    one is checked, so only the records grow with the trace.
 
     The starting components get the whole tree validation.  The trees a
     step creates are checked against the component they were cut from
@@ -382,9 +383,8 @@ def replay_trace(F, F2, trace, history=True):
     _check_labels(F, F2)
     for tree in F.components + F2.components:
         tree.check()
-    states, records, weight = [(F, F2)], [], 0
+    state, records, weight = (F, F2), [], 0
     for i, step in enumerate(trace.steps):
-        state = states[-1]
         try:
             action = check_step(*state, step)
             *after, rec = apply_action(*state, action)
@@ -392,20 +392,17 @@ def replay_trace(F, F2, trace, history=True):
         except (InapplicableStep, DuplicateLabel, ValueError) as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
         weight += step.cost
-        if history:
-            records.append(rec)
-        else:
-            states.pop()
-        states.append(tuple(after))
-    ground = states[-1][0].ground_set
+        records.append(rec)
+        state = tuple(after)
+    ground = state[0].ground_set
     if len(ground) != 1:
         raise BadTerminal("replay ended with %d labels, expected 1" % len(ground))
     (terminal,) = ground
     # both forests on one label are necessarily the same singleton tree
-    return ReplayResult(weight, terminal, tuple(states), tuple(records))
+    return ReplayResult(weight, terminal, state, tuple(records))
 
 
 def validate_trace(F, F2, trace):
     """Replay a trace and return its weight (the number of C2 steps),
-    holding one state at a time."""
-    return replay_trace(F, F2, trace, history=False).weight
+    holding one state at a time (see ``replay_trace``)."""
+    return replay_trace(F, F2, trace).weight

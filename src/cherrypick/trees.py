@@ -8,10 +8,11 @@ so trees and forests can be shared freely between threads.
 ``PhyloTree(adj, labels)``, the public constructor, validates every tree
 it builds.  Surgery does not: dropping a leaf or cutting an edge of a
 valid tree leaves valid trees, so ``tree_remove_leaf`` and
-``tree_remove_edge`` build their results with ``PhyloTree._trusted``,
-which skips the copy and the whole-tree check and patches the leaf index
-from the parent.  Such a tree stays unchecked until ``check()`` runs the
-full validation on it, or the checked tree it was cut from certifies it
+``tree_remove_edge`` patch ``d.copy()`` clones of the parent's dicts
+(``dict(d)`` would re-insert every entry) and build their results with
+``PhyloTree._trusted``, which skips the whole-tree check.  Such a tree
+stays unchecked until ``check()`` runs the full validation on it, or
+the checked tree it was cut from certifies it
 (``check_surgery``: equal to what the removal must leave, worked out
 anew; else the full validation, and a refusal even if that passes).
 The trace replay (``reductions.replay_trace``, under ``validate_trace``,
@@ -140,7 +141,8 @@ class PhyloTree:
         smaller side is compared entry by entry and must list no vertex
         outside it; as the expected forest is two trees, one holding each
         end of the cut, the sides are those trees."""
-        adj, labels, vertex_of = dict(self.adj), dict(self.labels), dict(self.vertex_of)
+        # d.copy() clones a dict surgery deleted from; dict(d) re-inserts every entry
+        adj, labels, vertex_of = self.adj.copy(), self.labels.copy(), self.vertex_of.copy()
         if isinstance(removed, tuple):
             ends = [removed, removed[::-1]]
         else:
@@ -410,15 +412,15 @@ def tree_remove_leaf(tree, label):
         return None, LeafRemoval(xv)
     (u,) = tree.adj[xv]
     # untouched vertices share the parent's frozensets
-    adj = dict(tree.adj)
+    adj = tree.adj.copy()
     del adj[xv]
     far = _close_end(adj, tree.labels, u, xv)
     if far.kind == "leaf":
         # a new one-vertex tree, not patched from the parent: checking it is free
         return PhyloTree(adj, {u: far.label}), LeafRemoval(xv, far)
-    labels = dict(tree.labels)
+    labels = tree.labels.copy()
     del labels[xv]
-    vertex_of = dict(tree.vertex_of)
+    vertex_of = tree.vertex_of.copy()
     del vertex_of[label]
     return PhyloTree._trusted(adj, labels, vertex_of), LeafRemoval(xv, far)
 
@@ -430,14 +432,14 @@ def tree_remove_edge(tree, edge):
     if not tree.has_edge(a, b):
         raise InvalidEdgeRef("edge %r not in tree" % (edge,))
     # untouched vertices share the parent's frozensets
-    adj = dict(tree.adj)
+    adj = tree.adj.copy()
     effects = (_close_end(adj, tree.labels, a, b), _close_end(adj, tree.labels, b, a))
     # walk the smaller side; the larger one is what is left of the
     # adjacency and the labels
     roots = [eff.vertex if eff.kind == "leaf" else eff.merged_edge[0] for eff in effects]
     small, order = _smaller_side(adj, *roots)
     adj_s = {v: adj.pop(v) for v in order}
-    labels, vertex_of = dict(tree.labels), dict(tree.vertex_of)
+    labels, vertex_of = tree.labels.copy(), tree.vertex_of.copy()
     labels_s, vertex_of_s = {}, {}
     for v in order:
         lab = labels.pop(v, None)

@@ -1,5 +1,7 @@
 """Reverse-replay network construction with image tracking."""
 
+import tracemalloc
+
 import pytest
 
 from cherrypick.builder import BuildState, _ids_apart, build_network
@@ -362,6 +364,22 @@ def test_verify_checks_the_images_once_after_the_last_undo_step(monkeypatch):
     # the input forests themselves: their vertex ids are already apart
     assert calls[:-1] == ["undo"] * len(trace.steps)
     assert calls[-1][0] is F and calls[-1][1] is F2
+
+
+def test_build_network_holds_one_state_at_a_time():
+    # the pair and trace of test_validate_trace_holds_one_state_at_a_time;
+    # a build that kept every replay state peaked near 36.5 MB on it
+    rng = seeded_rng(400)
+    F, F2 = random_forest_pair([str(i) for i in range(400)], 1, rng)
+    trace = greedy_cps(F, F2)
+    tracemalloc.start()
+    try:
+        network = build_network(F, F2, trace, verify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reticulation_number(network) <= trace.weight
+    assert peak < 8_000_000
 
 
 def test_edge_count_matches_the_adjacency_after_every_step(monkeypatch):

@@ -18,11 +18,11 @@ consistent way passes them.  Each value is a fresh value-only solve.
 import pytest
 
 from cherrypick.generate import random_forest, seeded_rng
-from cherrypick.reductions import apply_action, legal_moves, replay_trace
+from cherrypick.reductions import apply_action, legal_moves
 from cherrypick.search import hybrid_number, min_weight_cps
 from cherrypick.trees import Forest, PhyloTree
 
-from util import near_pair
+from util import near_pair, replay_states
 
 
 def relabelled(F, mapping):
@@ -42,9 +42,9 @@ def check_gates(F, F2, rng, states, moves):
     mapping = dict(zip(labels, rng.sample(labels, len(labels))))
     assert hybrid_number(relabelled(F, mapping), relabelled(F2, mapping)) == value
     need = value
-    replay = replay_trace(F, F2, result.witness)
+    replay, _ = replay_states(F, F2, result.witness)
     checked = 0
-    for state, step in list(zip(replay.states, result.witness.steps))[:states]:
+    for state, step in list(zip(replay, result.witness.steps))[:states]:
         assert hybrid_number(*state) == need
         legal = legal_moves(*state)
         for move, action in rng.sample(legal, min(moves, len(legal))):

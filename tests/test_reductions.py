@@ -31,6 +31,8 @@ from cherrypick.reductions import (
 from cherrypick.search import greedy_cps
 from cherrypick.trees import EndpointEffect, PhyloTree, _close_end, canonical_form
 
+from util import replay_states
+
 
 def state(a, b):
     return parse_forest(a), parse_forest(b)
@@ -340,9 +342,21 @@ def test_validate_trace_holds_one_state_at_a_time():
         tracemalloc.stop()
     assert weight == trace.weight
     assert peak < 4_000_000
-    # the full replay still keeps every state and record
+    # the replay keeps the final state and every record
     replay = replay_trace(F, F2, trace)
-    assert len(replay.states) == len(trace) + 1 and len(replay.records) == len(trace)
+    assert replay.final[0].ground_set == {replay.terminal} and len(replay.records) == len(trace)
+
+
+def test_replay_records_and_final_state_equal_a_walk_that_keeps_every_state():
+    rng = seeded_rng(707)
+    for n in range(4, 31):
+        labels = [str(i) for i in range(1, n + 1)]
+        F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
+        trace = greedy_cps(F, F2)
+        states, records = replay_states(F, F2, trace)
+        replay = replay_trace(F, F2, trace)
+        assert replay.records == tuple(records)
+        assert replay.final == states[-1]
 
 
 def test_replay_states_equal_their_parsed_documents():
@@ -353,7 +367,7 @@ def test_replay_states_equal_their_parsed_documents():
     for n in range(6, 21):
         labels = [str(i) for i in range(1, n + 1)]
         F, F2 = random_forest_pair(labels, rng.randint(1, 3), rng)
-        for state_pair in replay_trace(F, F2, greedy_cps(F, F2)).states:
+        for state_pair in replay_states(F, F2, greedy_cps(F, F2))[0]:
             for forest in state_pair:
                 again = parse_forest(serialize_forest(forest))
                 assert forest == again and hash(forest) == hash(again)

@@ -19,7 +19,6 @@ from cherrypick.reductions import (
     apply_action,
     labels_of,
     legal_moves,
-    replay_trace,
     validate_trace,
 )
 from cherrypick.search import (
@@ -41,6 +40,7 @@ from util import (
     min_trace_bruteforce,
     min_trace_full_branching,
     near_pair,
+    replay_states,
     witness_full_enumeration,
 )
 
@@ -413,7 +413,7 @@ def test_walk_lists_the_legal_moves_and_its_probes_keep_the_value():
         cutoff = len(F.ground_set)  # above every residual, so both are exact
         prober, reference = _Searcher(), _Searcher()
         for trace in (min_weight_cps(F, F2).witness, greedy_cps(F, F2)):
-            for state in replay_trace(F, F2, trace).states[:-1]:
+            for state in replay_states(F, F2, trace)[0][:-1]:
                 streams = [_isolated_moves(*state)]
                 for orientation, (A, B) in (("forward", state), ("reversed", state[::-1])):
                     for a, b in A.cherries():

@@ -50,8 +50,8 @@ VALUES = [
      {"orientation": "forward", "y": None, "p": None, "q": None, "cut": None},
      (("a", "C2a_i", "reversed"), {"y": "b", "cut": "e_x"})),
     (ReductionTrace, ("steps", "terminal"), {"terminal": None}, (((STEP,),), {})),
-    (ReplayResult, ("weight", "terminal", "states", "records"), {},
-     ((0, "b", ((F, F2),), ()), {})),
+    (ReplayResult, ("weight", "terminal", "final", "records"), {},
+     ((0, "b", (F, F2), ()), {})),
     (Blob, ("vertices", "edges", "incident_edges", "leaves", "pendant"), {},
      ((frozenset({0, 1}), ((0, 1), (0, 1)), ((0, 2),), frozenset("a"), True), {})),
     (SimplificationResult, ("result", "suppressed_count"), {}, ((F, 0), {})),

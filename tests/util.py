@@ -1,8 +1,8 @@
 """Shared test helpers: an independent topology enumerator, a
 label-respecting network isomorphism check, two brute-force minimum
 cherry picking sequences, a witness walk that enumerates every step, the
-display enumeration without pruning, seeded near tree pairs and the
-environment of a child Python process.
+display enumeration without pruning, seeded near tree pairs, every state
+of a trace's replay and the environment of a child Python process.
 
 All are deliberately written from scratch (recursive insertion, plain
 backtracking, exhaustive search) or kept in their plain form, so they can
@@ -21,6 +21,7 @@ from cherrypick.reductions import (
     applicable_steps,
     apply_action,
     apply_step,
+    check_step,
     legal_moves,
 )
 from cherrypick.generate import random_tree, seeded_rng
@@ -139,6 +140,20 @@ def near_pair(n, k, s):
             parts[1], points[1][rng.randrange(len(points[1]))],
         )
     return Forest([tree]), Forest([moved])
+
+
+def replay_states(F, F2, trace):
+    """Every state a trace passes through from (F, F2), the start pair
+    first and the final state last, and each step's surgery record: the
+    steps are resolved with ``check_step`` and applied with
+    ``apply_action``, and every state is kept, which ``replay_trace``
+    does not do."""
+    states, records = [(F, F2)], []
+    for step in trace.steps:
+        *after, rec = apply_action(*states[-1], check_step(*states[-1], step))
+        states.append(tuple(after))
+        records.append(rec)
+    return states, records
 
 
 def min_trace_bruteforce(F, F2):
