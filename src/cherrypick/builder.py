@@ -24,9 +24,9 @@ have vertex-disjoint images.  That pass is what certifies the output:
 vertex-disjoint subdivisions of a forest's components whose leaves sit
 at their network leaves show that the network displays the forest.  The
 forest pairs in between need no image check of their own.  Each is a
-replay state, which the replay checked against the step that made it,
-and whatever an undo step reads of the images it checks as it goes
-(``subdivide``, ``_own``, ``pop_path``, ``peek_path``, and the
+replay state, which surgery made for a step that ``check_step``
+accepted, and whatever an undo step reads of the images it checks as it
+goes (``subdivide``, ``_own``, ``pop_path``, ``peek_path``, and the
 reticulation number each undo step must leave).  A fault still in the
 images after the last step is found by the pass, which names the first
 fault in its order; one that a later step wrote over does not reach the

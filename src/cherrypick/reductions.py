@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 from .errors import (
     BadTerminal,
-    DuplicateLabel,
     GroundSetMismatch,
     InapplicableStep,
     ReplayError,
@@ -353,53 +352,30 @@ class ReplayResult(NamedTuple):
     records: tuple  # each step's surgery record, in trace order
 
 
-def _check_new_trees(before, after, action):
-    """Check the trees a step created, going from state `before` to state
-    `after` by `action` (see ``check_step``): in each forest it changed,
-    against the component surgery replaced by them and what the action
-    removed from it (see ``PhyloTree.check_surgery``).  The other
-    components are the checked ones of `before`."""
-    for old, new in zip(before, after):
-        if old is not new:
-            idx = old.component_index(action[1]) if action[0] == "drop" else action[2]
-            new_trees = [t for t in new.components if t not in old.components]
-            old.components[idx].check_surgery(action[-1], new_trees)
-
-
 def replay_trace(F, F2, trace):
-    """Replay a trace from a starting pair, checking every side condition,
-    every tree a step creates and the terminal state; returns the weight,
-    the terminal label, the final state and each step's surgery record.
-    It holds one state at a time: a step's state is dropped once the next
-    one is checked, so only the records grow with the trace.
+    """Replay a trace from a starting pair, checking every step's side
+    conditions (``check_step``) and the terminal state; returns the
+    weight, the terminal label, the final state and each step's surgery
+    record.  It holds one state at a time: a step's state is dropped once
+    the next one is made, so only the records grow with the trace.
 
-    The starting components get the whole tree validation.  The trees a
-    step creates are checked against the component they were cut from
-    and the action ``check_step`` resolved: a step certificate compares
-    them with what that action must leave, and the whole pass runs on
-    them whenever it cannot, so an invalid tree fails with the same error
-    either way, and a valid tree the action does not leave fails at its
-    step."""
+    The trees surgery builds are not validated again: the starting trees
+    passed the public constructor, and a drop or a cut of a valid tree
+    leaves valid trees (see the ``trees`` module)."""
     _check_labels(F, F2)
-    for tree in F.components + F2.components:
-        tree.check()
-    state, records, weight = (F, F2), [], 0
+    state, records = (F, F2), []
     for i, step in enumerate(trace.steps):
         try:
-            action = check_step(*state, step)
-            *after, rec = apply_action(*state, action)
-            _check_new_trees(state, after, action)
-        except (InapplicableStep, DuplicateLabel, ValueError) as exc:
+            *state, rec = apply_action(*state, check_step(*state, step))
+        except InapplicableStep as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
-        weight += step.cost
         records.append(rec)
-        state = tuple(after)
     ground = state[0].ground_set
     if len(ground) != 1:
         raise BadTerminal("replay ended with %d labels, expected 1" % len(ground))
     (terminal,) = ground
     # both forests on one label are necessarily the same singleton tree
-    return ReplayResult(weight, terminal, state, tuple(records))
+    return ReplayResult(trace.weight, terminal, tuple(state), tuple(records))
 
 
 def validate_trace(F, F2, trace):

@@ -288,7 +288,7 @@ class _Searcher:
     A child is built only when its cost is below the current best, and
     the search applies its cuts and drops unchecked.  Surgery builds its
     trees unchecked too (see ``trees``): they are valid by construction,
-    and the replay of a trace checks each of them.
+    and surgery's tests judge them against ``restrict``.
 
     ``_solve`` takes the input pair's own chain of C1 steps once, with
     ``_common_cherry_chain``, before greedy, the deepening levels and the

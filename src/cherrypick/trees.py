@@ -10,15 +10,11 @@ it builds.  Surgery does not: dropping a leaf or cutting an edge of a
 valid tree leaves valid trees, so ``tree_remove_leaf`` and
 ``tree_remove_edge`` patch ``d.copy()`` clones of the parent's dicts
 (``dict(d)`` would re-insert every entry) and build their results with
-``PhyloTree._trusted``, which skips the whole-tree check.  Such a tree
-stays unchecked until ``check()`` runs the full validation on it, or
-the checked tree it was cut from certifies it
-(``check_surgery``: equal to what the removal must leave, worked out
-anew; else the full validation, and a refusal even if that passes).
-The trace replay (``reductions.replay_trace``, under ``validate_trace``,
-``build_network`` and the commands built on them) checks every tree a
-step creates that way, so a trace from outside is held to the same
-checks as a parsed tree.  A forest keeps its
+``PhyloTree._trusted``, which skips the whole-tree check.  So trees have
+one validation boundary: the public constructor, for input.  The
+program's own surgery is judged by its tests, which compare every child
+of a drop or a cut with ``restrict``, built through the public
+constructor and sharing no code with surgery.  A forest keeps its
 components in the order given, so surgery splices new components in
 place; only the canonical form, which equality and serialization use,
 sorts them.
@@ -87,91 +83,23 @@ class PhyloTree:
     exactly three.
     """
 
-    __slots__ = ("adj", "labels", "vertex_of", "_checked")
+    __slots__ = ("adj", "labels", "vertex_of")
 
     def __init__(self, adj, labels):
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
         self.labels = dict(labels)
         self.vertex_of = self._validate()
-        self._checked = True
 
     @classmethod
     def _trusted(cls, adj, labels, vertex_of):
         """A tree made by surgery on a valid tree, taking ownership of
         the given dicts (frozenset values, ``vertex_of`` the inverse of
-        ``labels``) without copying or validating them; see ``check``."""
+        ``labels``) without copying or validating them."""
         tree = cls.__new__(cls)
         tree.adj = adj
         tree.labels = labels
         tree.vertex_of = vertex_of
-        tree._checked = False
         return tree
-
-    def check(self):
-        """Validate a tree built by ``_trusted`` with the whole pass,
-        ``_validate``, once; trees from the public constructor are
-        already checked."""
-        if not self._checked:
-            if self._validate() != self.vertex_of:
-                raise ValueError("leaf index does not match the labels")
-            self._checked = True
-
-    def check_surgery(self, removed, children):
-        """Check the trees surgery left of this tree on removing
-        `removed`, a leaf label (a drop) or an edge (a cut), given in the
-        order surgery gives them.  Dropping a leaf of a valid tree, or
-        cutting one of its edges, leaves valid trees, so when this tree
-        is checked, trees the step certificate (``_step_certified``)
-        accepts are valid.  Otherwise each gets the whole pass in order,
-        so an invalid tree raises what ``_validate`` raises; and if this
-        tree is checked and every refused tree is valid, surgery left
-        trees the step does not leave, which raises too."""
-        certified = self._checked and self._step_certified(removed, children)
-        for tree in children:
-            tree._checked |= certified
-            tree.check()
-        if self._checked and not certified:
-            raise ValueError("surgery left a tree the step does not leave")
-
-    def _step_certified(self, removed, children):
-        """True only if `children` are exactly the trees that removing
-        `removed` leaves of this tree, as worked out here and not by the
-        surgery functions, so a fault in surgery cannot pass here too.  A
-        drop's tree and the larger side of a cut are compared whole.  The
-        smaller side is compared entry by entry and must list no vertex
-        outside it; as the expected forest is two trees, one holding each
-        end of the cut, the sides are those trees."""
-        # d.copy() clones a dict surgery deleted from; dict(d) re-inserts every entry
-        adj, labels, vertex_of = self.adj.copy(), self.labels.copy(), self.vertex_of.copy()
-        if isinstance(removed, tuple):
-            ends = [removed, removed[::-1]]
-        else:
-            xv = vertex_of.pop(removed)
-            del labels[xv]
-            ends = [(u, xv) for u in adj.pop(xv)]
-        # a vertex of each side, then each end closed: a leaf loses its
-        # neighbour, an internal vertex is suppressed
-        roots = [z if z in labels else min(adj[z] - {gone}) for z, gone in ends]
-        for z, gone in ends:
-            if z in labels:
-                adj[z] = adj[z] - {gone}
-            else:
-                n1, n2 = adj.pop(z) - {gone}
-                adj[n1] = adj[n1] - {z} | {n2}
-                adj[n2] = adj[n2] - {z} | {n1}
-        if len(ends) < 2:
-            expected = [(adj, labels, vertex_of)] if adj else []
-            return [(t.adj, t.labels, t.vertex_of) for t in children] == expected
-        if len(children) != 2 or not all(r in t.adj for r, t in zip(roots, children)):
-            return False
-        small, large = sorted(children, key=lambda t: len(t.adj))
-        adj_s = {v: adj.pop(v, None) for v in small.adj}
-        labels_s = {v: labels.pop(v) for v in small.adj if v in labels}
-        vertex_of_s = {lab: vertex_of.pop(lab) for lab in labels_s.values()}
-        return frozenset().union(*small.adj.values()) <= small.adj.keys() and (
-            (small.adj, small.labels, small.vertex_of, large.adj, large.labels, large.vertex_of)
-            == (adj_s, labels_s, vertex_of_s, adj, labels, vertex_of)
-        )
 
     def _validate(self):
         """Check the adjacency and labels; returns the leaf index they
@@ -292,7 +220,7 @@ class PhyloTree:
 
         The tree is rooted on the pendant edge of its lexicographically
         smallest leaf and children are sorted recursively.  It is rendered
-        afresh on every read.  On an unchecked tree whose adjacency has a
+        afresh on every read.  On a ``_trusted`` tree whose adjacency has a
         cycle it raises ValueError.
         """
         if self.num_vertices == 1:
@@ -416,7 +344,7 @@ def tree_remove_leaf(tree, label):
     del adj[xv]
     far = _close_end(adj, tree.labels, u, xv)
     if far.kind == "leaf":
-        # a new one-vertex tree, not patched from the parent: checking it is free
+        # a new one-vertex tree, not patched from the parent: validating it is free
         return PhyloTree(adj, {u: far.label}), LeafRemoval(xv, far)
     labels = tree.labels.copy()
     del labels[xv]

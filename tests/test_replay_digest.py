@@ -41,3 +41,12 @@ def test_each_trace_gets_a_dropped_step_a_swapped_pair_and_a_changed_partner_or_
         (i,) = [i for i, (a, b) in enumerate(zip(changed, steps)) if a != b]
         fields = [f for f in changed[i]._fields if getattr(changed[i], f) != getattr(steps[i], f)]
         assert len(changed) == len(steps) and fields in (["y"], ["cut"])
+
+
+def test_digest_is_pinned():
+    # same verdicts and same networks as when it was last pinned
+    assert replay_digest.digest(replay_digest.cases()) == (
+        "fe6e9f213b15d1f611225b37881fe6e7cae6a706b86e1242efb080a454d4a654",
+        1488,
+        560,
+    )

@@ -20,3 +20,10 @@ def test_inputs_are_the_seeded_forest_pairs_and_one_transposition_tree_pairs():
         assert T.adj == T2.adj
         assert sum(T.labels[v] != T2.labels[v] for v in T.labels) == 2
 
+
+def test_digest_is_pinned():
+    # same bounds, witnesses and greedy traces as when it was last pinned
+    pairs = list(search_digest.forest_pairs()) + list(search_digest.transposition_pairs())
+    assert len(pairs) == 390
+    digest = search_digest.digest(pairs)
+    assert digest == "8c141e9834ab37fa13b2774bc352a7df0527fbfd16045965ae44bc46f8f66471"

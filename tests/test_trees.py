@@ -8,6 +8,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherrypick import trees
 from cherrypick.errors import (
     DuplicateLabel,
     EmptyRestriction,
@@ -18,14 +19,18 @@ from cherrypick.errors import (
 from cherrypick.generate import random_forest, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, parse_tree, serialize_forest
 from cherrypick.trees import (
+    EndpointEffect,
     Forest,
     PendantShape,
     PhyloTree,
+    _close_end,
     canonical_form,
     pendant_of,
     pendant_shapes,
     remove_edge,
+    remove_edge_traced,
     remove_leaf,
+    remove_leaf_traced,
     restrict,
     subtree_edge,
     tree_remove_edge,
@@ -390,10 +395,11 @@ def test_canonical_separates_all_five_leaf_topologies():
 
 
 def test_canonical_of_an_unchecked_tree_with_a_cycle_ends():
-    # a surgery tree stays unchecked until check(); rendering one whose
-    # three internal vertices form a triangle must end with a ValueError
-    # that names the cycle, not grow its walk without bound, so it runs
-    # in a child process under a memory cap
+    # a surgery tree is never validated, and surgery's tests render a
+    # faulty one to compare it with restrict; rendering one whose three
+    # internal vertices form a triangle must end with a ValueError that
+    # names the cycle, not grow its walk without bound, so it runs in a
+    # child process under a memory cap
     code = textwrap.dedent(
         """
         import resource
@@ -517,7 +523,8 @@ def test_remove_then_reattach_round_trip():
 
 def test_check_validates_a_surgery_tree_and_its_leaf_index():
     # surgery patches the leaf index from the parent instead of rebuilding
-    # it; check() runs the full validation and compares the index too
+    # it; _validate() runs the full validation and returns the index the
+    # labels define, which must be the patched one
     rng = seeded_rng(2424)
     for n in (2, 3, 4, 7, 12):
         t = random_tree([str(i) for i in range(n)], rng)
@@ -526,358 +533,152 @@ def test_check_validates_a_surgery_tree_and_its_leaf_index():
             children.extend(tree_remove_edge(t, edge)[0])
         for child in children:
             if child is not None:
-                child.check()
+                assert child._validate() == child.vertex_of
     child, _ = tree_remove_leaf(parse_tree("((1,2),(3,4));"), "1")
     index = dict(child.vertex_of, **{"2": child.vertex_of["3"]})
-    with pytest.raises(ValueError, match="leaf index does not match the labels"):
-        PhyloTree._trusted(dict(child.adj), dict(child.labels), index).check()
+    assert PhyloTree._trusted(dict(child.adj), dict(child.labels), index)._validate() != index
 
 
 # ---------------------------------------------------------------------------
-# the step certificate check_surgery tries on surgery children before the
-# whole pass
+# surgery against restrict
 #
-# Each corruption changes one thing in a copy of a child's dicts (the copy
-# keeps the shared frozensets); it returns False where it does not apply.
+# Surgery builds its trees with ``PhyloTree._trusted`` and nothing
+# validates them later, so these tests are its guard: every child of every
+# leaf drop and edge cut must pass the public constructor afresh and be
+# the parent restricted to the child's labels.  ``restrict`` builds its
+# trees through that constructor and shares no code with surgery.
 
 
-def _drop_half_edge(rng, parent, adj, labels, vertex_of):
-    v = rng.choice([v for v, ns in adj.items() if ns] or [None])
-    if v is None:
-        return False
-    adj[v] = adj[v] - {rng.choice(list(adj[v]))}
-    return True
-
-
-def _add_edge(rng, parent, adj, labels, vertex_of, both_halves):
-    if not adj:
-        return False
-    v = rng.choice(list(adj))
-    # the far end may be v itself or a vertex the child lost
-    far = sorted((adj.keys() | parent.adj.keys()) - adj[v])
-    if not far:
-        return False
-    w = rng.choice(far)
-    adj[v] = adj[v] | {w}
-    if both_halves and w in adj:
-        adj[w] = adj[w] | {v}
-    return True
-
-
-def _add_one_sided_edge(rng, parent, adj, labels, vertex_of):
-    return _add_edge(rng, parent, adj, labels, vertex_of, False)
-
-
-def _add_symmetric_edge(rng, parent, adj, labels, vertex_of):
-    return _add_edge(rng, parent, adj, labels, vertex_of, True)
-
-
-def _delete_vertex(rng, parent, adj, labels, vertex_of):
-    if not adj:
-        return False
-    v = rng.choice(list(adj))
-    ns = adj.pop(v)
-    if rng.random() < 0.5:
-        for w in ns:
-            if w in adj:
-                adj[w] = adj[w] - {v}
-    return True
-
-
-def _drop_label(rng, parent, adj, labels, vertex_of):
-    if not labels:
-        return False
-    lab = labels.pop(rng.choice(list(labels)))
-    if rng.random() < 0.5:
-        vertex_of.pop(lab, None)
-    return True
-
-
-def _retarget_vertex_of(rng, parent, adj, labels, vertex_of):
-    if not vertex_of:
-        return False
-    lab = rng.choice(list(vertex_of))
-    if rng.random() < 0.5:
-        vertex_of[lab] = rng.choice(sorted(parent.adj.keys() - {vertex_of[lab]}) or [None])
-    else:
-        # swap the entry for one of the parent's, maybe a label the child lost
-        del vertex_of[lab]
-        lab = rng.choice(sorted(parent.vertex_of))
-        vertex_of[lab] = parent.vertex_of[lab]
-    return True
-
-
-def _rename_label(rng, parent, adj, labels, vertex_of):
-    if not labels:
-        return False
-    v = rng.choice(list(labels))
-    old = labels[v]
-    # a fresh name, a name the child lost, or a name it still has
-    names = sorted((set(parent.vertex_of) | {"fresh"}) - {old})
-    labels[v] = new = rng.choice(names)
-    if rng.random() < 0.5:
-        vertex_of.pop(old, None)
-        vertex_of[new] = v
-    return True
-
-
-def _swap_neighbour(rng, parent, adj, labels, vertex_of):
-    # v - a and w - b become v - b and w - a: every degree stays
-    vs = [v for v, ns in adj.items() if ns]
-    if len(vs) < 2:
-        return False
-    v, w = rng.sample(vs, 2)
-    a, b = rng.choice(list(adj[v])), rng.choice(list(adj[w]))
-    if a == b or a in adj[w] or b in adj[v] or w == a or v == b:
-        return False
-    adj[v] = adj[v] - {a} | {b}
-    adj[w] = adj[w] - {b} | {a}
-    if rng.random() < 0.5 and a in adj and b in adj:
-        # keep it symmetric too
-        adj[a] = adj[a] - {v} | {w}
-        adj[b] = adj[b] - {w} | {v}
-    return True
-
-
-def _restore_lost_vertex(rng, parent, adj, labels, vertex_of):
-    lost = sorted(parent.adj.keys() - adj.keys())
-    if not lost:
-        return False
-    r = rng.choice(lost)
-    mode = rng.randrange(3)
-    if mode < 2:
-        adj[r] = parent.adj[r]
-    if r in parent.labels and mode > 0:
-        # with the vertex, or only its label in place of one the child has
-        labels[r] = parent.labels[r]
-        vertex_of[parent.labels[r]] = r
-        others = [v for v in labels if v != r]
-        if mode == 2 and others:
-            vertex_of.pop(labels.pop(rng.choice(others)), None)
-    return True
-
-
-def _subdivide_edge(rng, parent, adj, labels, vertex_of):
-    # a new vertex of degree two, as surgery that forgets to suppress leaves
-    edges = [(u, v) for u, ns in adj.items() for v in ns if v in adj and u in adj[v]]
-    if not edges:
-        return False
-    u, v = rng.choice(edges)
-    z = max(parent.adj.keys() | adj.keys()) + 1
-    adj[u], adj[v], adj[z] = adj[u] - {v} | {z}, adj[v] - {u} | {z}, frozenset((u, v))
-    if rng.random() < 0.5:
-        # or one of degree three, with a new unlabelled leaf
-        adj[z], adj[z + 1] = adj[z] | {z + 1}, frozenset((z,))
-    return True
-
-
-def _move_edge_end(rng, parent, adj, labels, vertex_of):
-    # v - a becomes v - b: the degree sum stays, a's and b's degrees do not
-    v = rng.choice(list(adj) or [None])
-    if not adj.get(v):
-        return False
-    a = rng.choice(list(adj[v]))
-    b = rng.choice(list(adj))
-    if b in adj[v] or b == v:
-        return False
-    adj[v] = adj[v] - {a} | {b}
-    if a in adj:
-        adj[a] = adj[a] - {v}
-    adj[b] = adj[b] | {v}
-    return True
-
-
-def _rewrite_lists(rng, parent, adj, labels, vertex_of):
-    # one to three vertices list up to three vertices of the child or the
-    # parent, chosen at random: one-sided edges of any shape
-    if not adj:
-        return False
-    universe = sorted(parent.adj.keys() | adj.keys())
-    for v in rng.sample(sorted(adj), min(len(adj), rng.randint(1, 3))):
-        adj[v] = frozenset(rng.sample(universe, rng.randint(0, min(3, len(universe)))))
-    return True
-
-
-CORRUPTIONS = [
-    _drop_half_edge,
-    _add_one_sided_edge,
-    _add_symmetric_edge,
-    _delete_vertex,
-    _drop_label,
-    _retarget_vertex_of,
-    _rename_label,
-    _swap_neighbour,
-    _restore_lost_vertex,
-    _subdivide_edge,
-    _move_edge_end,
-    _rewrite_lists,
-]
-
-
-def _whole_pass_accepts(tree):
-    try:
-        return tree._validate() == tree.vertex_of
-    except (ValueError, DuplicateLabel):
-        return False
-
-
-def _surgery_children(tree, rng, k):
-    """k random surgeries on a tree, leaf drops and cuts: for each, what
-    it removed (a leaf label or an edge) and the trees it left."""
-    ops = [("leaf", lab) for lab in tree.vertex_of] + [("edge", e) for e in tree.edges()]
-    out = []
-    for kind, arg in rng.sample(ops, min(k, len(ops))):
-        if kind == "leaf":
-            children = [tree_remove_leaf(tree, arg)[0]]
-        else:
-            children = list(tree_remove_edge(tree, arg)[0])
-        out.append((arg, [child for child in children if child is not None]))
+def _surgery_inputs():
+    """Every tree up to six leaves, then seeded trees and forests of 1-4
+    components with up to 60 leaves."""
+    out = [Forest([t]) for n in range(1, 7) for t in all_topologies([str(i) for i in range(n)])]
+    rng = seeded_rng(3131)
+    for n in (8, 13, 21, 34, 47, 60):
+        labels = [str(i) for i in range(n)]
+        out.append(Forest([random_tree(labels, rng)]))
+        out.append(random_forest(labels, rng.randint(2, 4), rng))
     return out
 
 
-def _regroup_sides(rng, sides):
-    """A cut's two trees with every entry kept but regrouped: one vertex,
-    with its label, moved to the other side; the sides swapped; or all
-    of it on one side and nothing on the other."""
-    parts = [(dict(t.adj), dict(t.labels), dict(t.vertex_of)) for t in sides]
-    i = rng.randrange(2)
-    src, dst = parts[i], parts[1 - i]
-    mode = rng.randrange(3)
-    if mode == 0:
-        v = rng.choice(sorted(src[0]))
-        dst[0][v] = src[0].pop(v)
-        if v in src[1]:
-            lab = dst[1][v] = src[1].pop(v)
-            dst[2][lab] = src[2].pop(lab)
-    elif mode == 1:
-        parts.reverse()
-    else:
-        for d, s in zip(dst, src):
-            d.update(s)
-            s.clear()
-    return [PhyloTree._trusted(*part) for part in parts]
-
-
-def _judge(parent, removed, children, trees, corrupts):
-    """Pass `trees`, corrupted by `corrupts`, in place of the `children`
-    the removal left: if certified, the whole pass must accept each of
-    them and they must equal those children."""
-    if parent._step_certified(removed, trees):
-        # (no tree in the message: a cyclic one has no canonical form)
-        dicts = [(t.adj, t.labels, t.vertex_of) for t in trees]
-        assert all(map(_whole_pass_accepts, trees)), (corrupts, dicts)
-        assert dicts == [(t.adj, t.labels, t.vertex_of) for t in children], (corrupts, dicts)
-
-
-def _certificate_candidates(seeds, surgeries=4):
-    """Judge the step certificate on corrupted surgery children of seeded
-    trees with 2-40 leaves, walked 1-5 surgery steps deep, each passed
-    with the removal that made it beside its untouched siblings, and on
-    the regrouped sides of each cut; returns the number of corrupted
-    candidates.  Every uncorrupted result must be certified, and no
-    candidate may be certified that the whole pass rejects or that
-    differs from the trees surgery built."""
-    candidates = 0
-    for seed in seeds:
-        rng = seeded_rng(seed)
-        parent = random_tree([str(i) for i in range(rng.randint(2, 40))], rng)
-        for _ in range(rng.randint(1, 5)):
-            results = _surgery_children(parent, rng, surgeries)
-            picks = [(removed, children, i) for removed, children in results for i in range(len(children))]
-            if not picks:
-                break
-            for removed, children in results:
-                assert parent._step_certified(removed, children)
-            for removed, children, i in picks:
-                child = children[i]
-                # each corruption alone, then random pairs of them
-                for corrupts in [(c,) for c in CORRUPTIONS] + [
-                    tuple(rng.choices(CORRUPTIONS, k=2)) for _ in CORRUPTIONS
-                ]:
-                    adj, labels, vertex_of = dict(child.adj), dict(child.labels), dict(child.vertex_of)
-                    if not all([c(rng, parent, adj, labels, vertex_of) for c in corrupts]):
-                        continue
-                    candidates += 1
-                    tree = PhyloTree._trusted(adj, labels, vertex_of)
-                    _judge(parent, removed, children, children[:i] + [tree] + children[i + 1:], corrupts)
-            for removed, children in results:
+def _check_every_surgery(forests):
+    """Drop every leaf and cut every edge of each forest, and judge the
+    trees each surgery leaves against ``restrict``; returns the number of
+    surgeries."""
+    count = 0
+    for forest in forests:
+        for i, parent in enumerate(forest.components):
+            others = forest.components[:i] + forest.components[i + 1:]
+            for removed in sorted(parent.vertex_of) + parent.edges():
                 if isinstance(removed, tuple):
-                    for _ in range(4):
-                        candidates += 1
-                        _judge(parent, removed, children, _regroup_sides(rng, children), "regrouped")
-            removed, children, _ = rng.choice(picks)
-            parent.check_surgery(removed, children)
-            parent = rng.choice(children)
-    return candidates
+                    got = remove_edge_traced(forest, i, removed)[0]
+                    want = [parent.side_leaves(removed, end) for end in removed]
+                else:
+                    got = remove_leaf_traced(forest, removed)[0]
+                    want = [parent.leaf_labels - {removed}] if parent.num_vertices > 1 else []
+                children = got.components[i:i + len(want)]
+                assert got.components[:i] + got.components[i + len(want):] == others
+                for child in children:
+                    # raises what _validate raises on an invalid child
+                    fresh = PhyloTree(child.adj, child.labels)
+                    assert fresh.vertex_of == child.vertex_of, "leaf index does not match the labels"
+                assert [child.leaf_labels for child in children] == want
+                for child in children:
+                    expected = restrict(parent, child.leaf_labels).canonical
+                    assert child.canonical == expected, "not the parent restricted to its labels"
+                count += 1
+    return count
 
 
-def test_certificate_accepts_only_what_the_whole_pass_accepts():
-    assert _certificate_candidates(range(250)) >= 20_000
+def test_every_drop_and_cut_leaves_the_restriction_to_its_labels():
+    assert _check_every_surgery(_surgery_inputs()) > 2500
 
 
-@pytest.mark.slow
-def test_certificate_accepts_only_what_the_whole_pass_accepts_at_scale():
-    assert _certificate_candidates(range(250, 1250)) >= 60_000
+# faults ported from the replay tests: each corrupts every tree a surgery
+# function returns and gives the message of the whole pass
 
 
-def _hand_made_child(parent_adj, parent_labels, lost, changed):
-    """A parent tree and a child that keeps the parent's frozensets except
-    at the `changed` vertices and drops the `lost` ones with their labels."""
-    parent = PhyloTree(parent_adj, parent_labels)
-    adj = {v: ns for v, ns in parent.adj.items() if v not in lost}
-    adj.update((v, frozenset(ns)) for v, ns in changed.items())
-    labels = {v: lab for v, lab in parent.labels.items() if v not in lost}
-    vertex_of = {lab: v for v, lab in labels.items()}
-    return parent, PhyloTree._trusted(adj, labels, vertex_of)
+def asymmetric(adj, labels):
+    v = min(u for u, ns in adj.items() if ns)
+    adj[v] = adj[v] - {min(adj[v])}
+    return "asymmetric adjacency"
+
+
+def dropped_vertex(adj, labels):
+    v = min(labels)
+    for w in adj.pop(v):
+        adj[w] = adj[w] - {v}
+    return "labeled vertex %r not in the tree" % (v,)
+
+
+def degree_two(adj, labels):
+    u, v = min((u, v) for u, ns in adj.items() for v in ns if u < v)
+    z = max(adj) + 1
+    adj[u], adj[v], adj[z] = adj[u] - {v} | {z}, adj[v] - {u} | {z}, frozenset((u, v))
+    return "internal vertex %r has degree 2" % (z,)
+
+
+@pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
+@pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
+def test_corrupted_surgery_fails_the_restrict_check(surgery, corrupt, monkeypatch):
+    inputs = _surgery_inputs()
+    real = getattr(trees, surgery)
+    faults = []
+
+    def spoil(tree):
+        if tree is None or tree.num_vertices < 2:
+            return tree
+        adj, labels = dict(tree.adj), dict(tree.labels)
+        faults.append(corrupt(adj, labels))
+        return PhyloTree._trusted(adj, labels, {lab: v for v, lab in labels.items()})
+
+    def corrupted(tree, removed):
+        out, record = real(tree, removed)
+        return (tuple(map(spoil, out)) if isinstance(out, tuple) else spoil(out)), record
+
+    monkeypatch.setattr(trees, surgery, corrupted)
+    with pytest.raises(ValueError) as exc:
+        _check_every_surgery(inputs)
+    assert str(exc.value) == faults[0]
+
+
+def _stale_neighbour(adj, labels, z, gone):
+    """``_close_end`` with one slip: the second end of the merged edge
+    keeps listing the suppressed vertex."""
+    if z in labels:
+        adj[z] = adj[z] - {gone}
+        return EndpointEffect(z, "leaf", label=labels[z])
+    n1, n2 = sorted(adj.pop(z) - {gone})
+    adj[n1] = adj[n1] - {z} | {n2}
+    adj[n2] = adj[n2] | {n1}
+    return EndpointEffect(z, "suppressed", merged_edge=(n1, n2))
+
+
+def _swap_across_merged_edge(adj, labels, z, gone):
+    """``_close_end`` followed by an interchange across the merged edge
+    when both its ends are internal: the tree stays valid, but it is not
+    the one the step leaves."""
+    effect = _close_end(adj, labels, z, gone)
+    if effect.kind == "suppressed" and not labels.keys() & effect.merged_edge:
+        n1, n2 = effect.merged_edge
+        a, c = min(adj[n1] - {n2}), min(adj[n2] - {n1})
+        adj[n1], adj[n2] = adj[n1] - {a} | {c}, adj[n2] - {c} | {a}
+        adj[a], adj[c] = adj[a] - {n1} | {n2}, adj[c] - {n2} | {n1}
+    return effect
 
 
 @pytest.mark.parametrize(
-    "parent_adj, parent_labels, lost, changed, message, removed",
+    "mutant, error, message",
     [
-        # dropping l1 suppresses 10; p (13) and q (11) still meet through
-        # m (12): the one new edge (p, q) closes a cycle, and leaf 0 is
-        # left alone
-        (
-            {0: [10], 1: [10], 2: [13], 3: [11], 4: [12], 5: [13],
-             10: [0, 1, 11], 11: [10, 12, 3], 12: [11, 13, 4], 13: [12, 2, 5]},
-            {i: "l%d" % i for i in range(6)},
-            {1, 2, 10},
-            {0: [], 13: [12, 5, 11], 11: [12, 3, 13]},
-            "tree is disconnected",
-            "l1",
-        ),
-        # dropping l0: a loop at 10 in place of its lost leaf, and leaf 1
-        # left alone while 11 still lists it
-        (
-            {0: [10], 1: [11], 2: [10], 3: [11], 10: [0, 11, 2], 11: [10, 1, 3]},
-            {i: "l%d" % i for i in range(4)},
-            {0},
-            {10: [10, 11, 2], 1: []},
-            "loop at vertex 10",
-            "l0",
-        ),
+        # an invalid tree: the fresh constructor names the fault
+        (_stale_neighbour, ValueError, "^asymmetric adjacency$"),
+        # a valid tree that is not the step's result: only restrict tells
+        (_swap_across_merged_edge, AssertionError, "^not the parent restricted to its labels"),
     ],
+    ids=["stale_neighbour", "swap_across_merged_edge"],
 )
-def test_certificate_rejects_what_only_its_cycle_guards_catch(
-    parent_adj, parent_labels, lost, changed, message, removed
-):
-    # every count and degree fits in both children; only a test that
-    # sees the cycle tells them from a tree
-    parent, child = _hand_made_child(parent_adj, parent_labels, lost, changed)
-    assert not parent._step_certified(removed, [child])
-    with pytest.raises(ValueError, match=message):
-        parent.check_surgery(removed, [child])
-
-
-def test_check_surgery_runs_the_whole_pass_below_an_unchecked_tree():
-    # the certificate argues from a valid tree: the child of an unchecked
-    # one equals what the drop leaves and still gets the whole pass
-    adj = {0: [4], 1: [4], 2: [5], 3: [5], 4: [0, 1, 6], 5: [2, 3, 6], 6: [4, 5]}
-    labels = {0: "1", 1: "2", 2: "3", 3: "4"}
-    parent = PhyloTree._trusted(
-        {v: frozenset(ns) for v, ns in adj.items()}, labels, {lab: v for v, lab in labels.items()}
-    )
-    child, _ = tree_remove_leaf(parent, "1")
-    assert parent._step_certified("1", [child])
-    with pytest.raises(ValueError, match="internal vertex 6 has degree 2"):
-        parent.check_surgery("1", [child])
+def test_close_end_mutant_fails_the_restrict_check(mutant, error, message, monkeypatch):
+    inputs = _surgery_inputs()
+    monkeypatch.setattr(trees, "_close_end", mutant)
+    with pytest.raises(error, match=message):
+        _check_every_surgery(inputs)
