@@ -16,7 +16,7 @@ from cherrypick.errors import (
     NotACherry,
     UnknownLabel,
 )
-from cherrypick.generate import random_forest, random_tree, seeded_rng
+from cherrypick.generate import random_forest, random_forest_pair, random_tree, seeded_rng
 from cherrypick.newick import parse_forest, parse_tree, serialize_forest
 from cherrypick.trees import (
     EndpointEffect,
@@ -621,7 +621,23 @@ def degree_two(adj, labels):
 @pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
 @pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
 def test_corrupted_surgery_fails_the_restrict_check(surgery, corrupt, monkeypatch):
-    inputs = _surgery_inputs()
+    _assert_corruption_fails_restrict(_surgery_inputs(), surgery, corrupt, monkeypatch)
+
+
+@pytest.mark.parametrize("surgery", ["tree_remove_leaf", "tree_remove_edge"])
+@pytest.mark.parametrize("corrupt", [asymmetric, dropped_vertex, degree_two])
+def test_corruption_on_30_leaves_fails_restrict(surgery, corrupt, monkeypatch):
+    # a seeded pair of 30-leaf forests, parsed from text so that every
+    # parent tree comes through the public constructor
+    rng = seeded_rng(3030)
+    pair = random_forest_pair([str(i) for i in range(30)], rng.randint(1, 3), rng)
+    inputs = [parse_forest(serialize_forest(forest)) for forest in pair]
+    _assert_corruption_fails_restrict(inputs, surgery, corrupt, monkeypatch)
+
+
+def _assert_corruption_fails_restrict(inputs, surgery, corrupt, monkeypatch):
+    """Corrupt every tree `surgery` returns; the check of every surgery on
+    `inputs` must fail at the first one with the whole pass's message."""
     real = getattr(trees, surgery)
     faults = []
 
