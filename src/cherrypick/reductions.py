@@ -43,6 +43,10 @@ from .errors import (
     ReplayError,
 )
 from .trees import (
+    Forest,
+    _copy,
+    _cut_edge,
+    _drop_leaf,
     _edge,
     pendant_shapes,
     remove_edge_traced,
@@ -282,6 +286,27 @@ def apply_action(F, F2, action):
     return F, nF2, ("cut", 1, rec)
 
 
+def _patch(forests, action):
+    """Carry out a resolved action in place on the replay's state, the
+    list [F, F2] of forests whose trees the replay owns; returns the
+    record, as ``apply_action`` does.  The one tree the action touches in
+    a forest is patched (``trees._drop_leaf``, ``trees._cut_edge``) and
+    the forest is rebuilt around it."""
+    if action[0] == "drop":
+        x = action[1]
+        ground, record = forests[0].ground_set - {x}, ["drop"]
+        for s, forest in enumerate(forests):
+            i = forest.component_index(x)
+            kept, rec = _drop_leaf(forest.components[i], x)
+            forests[s] = forest.replace_component(i, [kept], ground)
+            record.append(rec)
+        return tuple(record)
+    _, side, i, edge = action
+    sides, rec = _cut_edge(forests[side].components[i], edge)
+    forests[side] = forests[side].replace_component(i, sides, forests[side].ground_set)
+    return ("cut", side, rec)
+
+
 def apply_step(F, F2, step):
     """Check a step and apply it; returns (F', F2')."""
     _check_labels(F, F2)
@@ -356,29 +381,33 @@ def replay_trace(F, F2, trace):
     """Replay a trace from a starting pair, checking every step's side
     conditions (``check_step``) and the terminal state; returns the
     weight, the terminal label, the final state and each step's surgery
-    record.  It holds one state at a time: a step's state is dropped once
-    the next one is made, so only the records grow with the trace.
+    record.
 
-    The trees surgery builds are not validated again: the starting trees
-    passed the public constructor, and a drop or a cut of a valid tree
-    leaves valid trees (see the ``trees`` module)."""
+    The replay copies each input tree once and then owns its state: a
+    step patches the one tree it touches in place (see ``_patch``), so no
+    step copies a tree and only the records grow with the trace.
+    The caller's forests and trees are never changed.  The trees surgery
+    leaves are not validated again: the starting trees passed the public
+    constructor, and a drop or a cut of a valid tree leaves valid trees
+    (see the ``trees`` module)."""
     _check_labels(F, F2)
-    state, records = (F, F2), []
+    forests = [Forest._trusted(tuple(map(_copy, f.components)), f.ground_set) for f in (F, F2)]
+    records = []
     for i, step in enumerate(trace.steps):
         try:
-            *state, rec = apply_action(*state, check_step(*state, step))
+            action = check_step(*forests, step)
         except InapplicableStep as exc:
             raise ReplayError(i, "%s: %s" % (step.describe(), exc))
-        records.append(rec)
-    ground = state[0].ground_set
+        records.append(_patch(forests, action))
+    ground = forests[0].ground_set
     if len(ground) != 1:
         raise BadTerminal("replay ended with %d labels, expected 1" % len(ground))
     (terminal,) = ground
     # both forests on one label are necessarily the same singleton tree
-    return ReplayResult(trace.weight, terminal, tuple(state), tuple(records))
+    return ReplayResult(trace.weight, terminal, tuple(forests), tuple(records))
 
 
 def validate_trace(F, F2, trace):
     """Replay a trace and return its weight (the number of C2 steps),
-    holding one state at a time (see ``replay_trace``)."""
+    patching one state in place (see ``replay_trace``)."""
     return replay_trace(F, F2, trace).weight

@@ -1,23 +1,28 @@
 """Unrooted binary trees and forests, plus their elementary surgery.
 
 Vertices are opaque integers private to each tree; everything visible to
-callers is identified by leaf label.  All values are immutable after
-construction and every operation is a pure function returning new objects,
-so trees and forests can be shared freely between threads.
+callers is identified by leaf label.  A tree or forest a caller holds is
+never changed: every public operation returns new objects, so values can
+be shared freely between threads.  The one thing that patches a tree is
+surgery's core, ``_drop_leaf`` and ``_cut_edge``, and only on a private
+copy its caller made (``_copy``): ``tree_remove_leaf`` and
+``tree_remove_edge`` copy the parent and patch the copy, and the replay
+(``reductions.replay_trace``) copies each input tree once and then
+patches its own copies step by step.
 
 ``PhyloTree(adj, labels)``, the public constructor, validates every tree
 it builds.  Surgery does not: dropping a leaf or cutting an edge of a
-valid tree leaves valid trees, so ``tree_remove_leaf`` and
-``tree_remove_edge`` patch ``d.copy()`` clones of the parent's dicts
-(``dict(d)`` would re-insert every entry) and build their results with
-``PhyloTree._trusted``, which skips the whole-tree check.  So trees have
-one validation boundary: the public constructor, for input.  The
-program's own surgery is judged by its tests, which compare every child
-of a drop or a cut with ``restrict``, built through the public
-constructor and sharing no code with surgery.  A forest keeps its
-components in the order given, so surgery splices new components in
-place; only the canonical form, which equality and serialization use,
-sorts them.
+valid tree leaves valid trees, so surgery patches ``d.copy()`` clones of
+the parent's dicts (``dict(d)`` would re-insert every entry) and builds
+the smaller side of a cut with ``PhyloTree._trusted``, which skips the
+whole-tree check.  So trees have one validation boundary: the public
+constructor, for input.  The program's own surgery is judged by its
+tests, which compare every child of a drop or a cut with ``restrict``,
+built through the public constructor and sharing no code with surgery.
+A forest keeps its components in the order given, so surgery splices new
+components in place and passes the ground set on (``Forest._trusted``);
+only the canonical form, which equality and serialization use, sorts
+them.
 
 Both surgeries remove one forest edge: a cut removes the edge, and
 dropping leaf x removes x's pendant edge and then the isolated x.
@@ -330,27 +335,55 @@ def _close_end(adj, labels, z, gone):
     return EndpointEffect(z, "suppressed", merged_edge=(n1, n2))
 
 
+def _copy(tree):
+    """A copy of a tree whose dicts the caller owns and may patch:
+    ``d.copy()`` clones (``dict(d)`` would re-insert every entry), whose
+    untouched vertices share the tree's frozensets."""
+    return PhyloTree._trusted(tree.adj.copy(), tree.labels.copy(), tree.vertex_of.copy())
+
+
+def _drop_leaf(tree, label):
+    """Drop a leaf in place, patching the dicts of a tree the caller owns:
+    delete the leaf's pendant edge, close the far end and delete the
+    isolated leaf; returns (the patched tree or None, record)."""
+    xv = tree.vertex_of[label]
+    if not tree.adj[xv]:
+        return None, LeafRemoval(xv)
+    (u,) = tree.adj.pop(xv)
+    del tree.labels[xv], tree.vertex_of[label]
+    return tree, LeafRemoval(xv, _close_end(tree.adj, tree.labels, u, xv))
+
+
+def _cut_edge(tree, edge):
+    """Cut an edge in place, patching the dicts of a tree the caller owns:
+    close both ends and move the smaller side into a new tree; returns
+    ((side_a, side_b), record) with sides ordered by the edge's
+    endpoints, the larger side being the patched tree itself."""
+    a, b = edge
+    adj, labels, vertex_of = tree.adj, tree.labels, tree.vertex_of
+    effects = (_close_end(adj, labels, a, b), _close_end(adj, labels, b, a))
+    # walk the smaller side; the larger one is what is left of the tree
+    roots = [eff.vertex if eff.kind == "leaf" else eff.merged_edge[0] for eff in effects]
+    small, order = _smaller_side(adj, *roots)
+    adj_s = {v: adj.pop(v) for v in order}
+    labels_s, vertex_of_s = {}, {}
+    for v in order:
+        lab = labels.pop(v, None)
+        if lab is not None:
+            labels_s[v] = lab
+            vertex_of_s[lab] = vertex_of.pop(lab)
+    sides = [PhyloTree._trusted(adj_s, labels_s, vertex_of_s), tree]
+    if small == 1:
+        sides.reverse()
+    return tuple(sides), EdgeRemoval(_edge(a, b), effects)
+
+
 def tree_remove_leaf(tree, label):
     """Remove a leaf from a tree: delete its pendant edge, close the far
     end and delete the isolated leaf; returns (new tree or None, record)."""
     if label not in tree.vertex_of:
         raise UnknownLabel("no leaf %r" % (label,))
-    xv = tree.vertex_of[label]
-    if not tree.adj[xv]:
-        return None, LeafRemoval(xv)
-    (u,) = tree.adj[xv]
-    # untouched vertices share the parent's frozensets
-    adj = tree.adj.copy()
-    del adj[xv]
-    far = _close_end(adj, tree.labels, u, xv)
-    if far.kind == "leaf":
-        # a new one-vertex tree, not patched from the parent: validating it is free
-        return PhyloTree(adj, {u: far.label}), LeafRemoval(xv, far)
-    labels = tree.labels.copy()
-    del labels[xv]
-    vertex_of = tree.vertex_of.copy()
-    del vertex_of[label]
-    return PhyloTree._trusted(adj, labels, vertex_of), LeafRemoval(xv, far)
+    return _drop_leaf(_copy(tree), label)
 
 
 def tree_remove_edge(tree, edge):
@@ -359,28 +392,7 @@ def tree_remove_edge(tree, edge):
     a, b = edge
     if not tree.has_edge(a, b):
         raise InvalidEdgeRef("edge %r not in tree" % (edge,))
-    # untouched vertices share the parent's frozensets
-    adj = tree.adj.copy()
-    effects = (_close_end(adj, tree.labels, a, b), _close_end(adj, tree.labels, b, a))
-    # walk the smaller side; the larger one is what is left of the
-    # adjacency and the labels
-    roots = [eff.vertex if eff.kind == "leaf" else eff.merged_edge[0] for eff in effects]
-    small, order = _smaller_side(adj, *roots)
-    adj_s = {v: adj.pop(v) for v in order}
-    labels, vertex_of = tree.labels.copy(), tree.vertex_of.copy()
-    labels_s, vertex_of_s = {}, {}
-    for v in order:
-        lab = labels.pop(v, None)
-        if lab is not None:
-            labels_s[v] = lab
-            vertex_of_s[lab] = vertex_of.pop(lab)
-    comps = [
-        PhyloTree._trusted(adj_s, labels_s, vertex_of_s),
-        PhyloTree._trusted(adj, labels, vertex_of),
-    ]
-    if small == 1:
-        comps.reverse()
-    return tuple(comps), EdgeRemoval(_edge(a, b), effects)
+    return _cut_edge(_copy(tree), edge)
 
 
 def _smaller_side(adj, root_a, root_b):
@@ -583,12 +595,23 @@ class Forest:
             return []
         return self.components[self.component_index(label)].cherry_partners(label)
 
-    def replace_component(self, index, new_components):
+    @classmethod
+    def _trusted(cls, components, ground_set):
+        """A forest made by surgery on a valid forest, taking the tuple of
+        components and their label union as given, without checking them."""
+        forest = cls.__new__(cls)
+        forest.components = components
+        forest.ground_set = ground_set
+        return forest
+
+    def replace_component(self, index, new_components, ground_set):
         """The forest with component `index` replaced, in place, by the
-        given trees (None entries are skipped)."""
-        comps = list(self.components)
-        comps[index:index + 1] = [t for t in new_components if t is not None]
-        return Forest(comps)
+        given trees (None entries are skipped); `ground_set` is the label
+        set of the result, which surgery knows (the same after a cut, one
+        label fewer after a drop)."""
+        comps = self.components
+        kept = tuple(t for t in new_components if t is not None)
+        return Forest._trusted(comps[:index] + kept + comps[index + 1:], ground_set)
 
 
 def canonical_form(forest):
@@ -602,7 +625,7 @@ def canonical_form(forest):
 def remove_leaf_traced(forest, label):
     idx = forest.component_index(label)
     new_tree, rec = tree_remove_leaf(forest.components[idx], label)
-    return forest.replace_component(idx, [new_tree]), rec
+    return forest.replace_component(idx, [new_tree], forest.ground_set - {label}), rec
 
 
 def remove_leaf(forest, label):
@@ -614,7 +637,7 @@ def remove_leaf(forest, label):
 
 def remove_edge_traced(forest, component_index, edge):
     comps, rec = tree_remove_edge(forest.components[component_index], edge)
-    return forest.replace_component(component_index, comps), rec
+    return forest.replace_component(component_index, comps, forest.ground_set), rec
 
 
 # ---------------------------------------------------------------------------

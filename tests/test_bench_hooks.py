@@ -30,10 +30,12 @@ def test_tree_constructor_takes_adj_and_labels():
 
 
 def traced_calls(tracer_module, first, second):
-    """Span call counts and tree builds of a traced exact search and
-    network rebuild on one forest pair."""
-    F, F2 = cherrypick.parse_forest(first), cherrypick.parse_forest(second)
+    """Span call counts and tree builds of a traced parse, exact search
+    and network rebuild of one forest pair.  Surgery and the replay build
+    no tree through the constructor; parsing builds every input tree
+    through it."""
     with tracer_module.installed(tracer_module.Tracer()) as tracer:
+        F, F2 = cherrypick.parse_forest(first), cherrypick.parse_forest(second)
         result = cherrypick.min_weight_cps(F, F2)
         cherrypick.build_network(F, F2, result.witness)
     return {name: row[0] for name, row in tracer.table()[0].items()}, tracer.counts["trees.tree_builds"]

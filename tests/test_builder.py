@@ -294,7 +294,7 @@ def test_verify_rejects_leaves_that_swapped_labels(monkeypatch):
     labels = {**tree.labels, a: "2", b: "1"}
     swapped = PhyloTree._trusted(tree.adj, labels, {lab: v for v, lab in labels.items()})
     with pytest.raises(ImageTrackingError, match="mapped to the wrong vertex"):
-        state.verify_images((F.replace_component(i, [swapped]), F2))
+        state.verify_images((F.replace_component(i, [swapped], F.ground_set), F2))
 
 
 def test_verify_catches_a_path_the_edge_index_lost(monkeypatch):

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from cherrypick import trees
-from cherrypick.builder import build_network
+from cherrypick import reductions
+from cherrypick.builder import _ids_apart, build_network
 from cherrypick.errors import (
     BadTerminal,
     GroundSetMismatch,
@@ -358,6 +358,51 @@ def test_replay_records_and_final_state_equal_a_walk_that_keeps_every_state():
         assert replay.final == states[-1]
 
 
+def _snapshot(*forests):
+    """Each forest's component tuple and ground set, and each component's
+    identity with copies of its adjacency, labels and leaf index."""
+    return [
+        (
+            forest.components,
+            forest.ground_set,
+            [(id(t), dict(t.adj), dict(t.labels), dict(t.vertex_of)) for t in forest.components],
+        )
+        for forest in forests
+    ]
+
+
+def test_replay_never_changes_its_input():
+    # the replay patches copies of the input trees, never the trees a
+    # caller holds; parsed forests keep their vertex ids apart, so
+    # build_network hands the input forests themselves to the replay
+    rng = seeded_rng(3232)
+    for n in (8, 21, 40):
+        pair = random_forest_pair([str(i) for i in range(n)], rng.randint(2, 3), rng)
+        F, F2 = (parse_forest(serialize_forest(forest)) for forest in pair)
+        assert _ids_apart(F) is F and _ids_apart(F2) is F2
+        trace = greedy_cps(F, F2)
+        before = _snapshot(F, F2)
+        first = replay_trace(F, F2, trace)
+        assert _snapshot(F, F2) == before
+        assert validate_trace(F, F2, trace) == trace.weight
+        assert _snapshot(F, F2) == before
+        build_network(F, F2, trace)
+        assert _snapshot(F, F2) == before
+        again = replay_trace(F, F2, trace)
+        assert again.records == first.records and again.final == first.final
+        # a step that fails midway: a drop repeated after its label is gone
+        k = next(i for i in range(len(trace) // 2, len(trace)) if trace.steps[i - 1].cost == 0)
+        broken = ReductionTrace(trace.steps[:k] + trace.steps[k - 1:])
+        with pytest.raises(ReplayError) as exc:
+            replay_trace(F, F2, broken)
+        assert exc.value.step_index == k
+        assert _snapshot(F, F2) == before
+        # a trace that stops short of one label
+        with pytest.raises(BadTerminal):
+            replay_trace(F, F2, ReductionTrace(trace.steps[:-1]))
+        assert _snapshot(F, F2) == before
+
+
 def test_replay_states_equal_their_parsed_documents():
     # replay keeps components in surgery order, not canonical order; each
     # state still equals the forest its document parses to, and every
@@ -517,10 +562,12 @@ def _pair_documents(n, seed):
 
 
 def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
-    # no tree surgery creates is validated again, and each shares all but
-    # a few of the frozensets of the tree it was cut from; a surgery
-    # change that lost them would make every step copy new ones
-    validated, built, unshared = [], [], []
+    # no tree surgery creates is validated again, and a replay step patches
+    # the tree it touches in place: it builds no tree through the
+    # constructor and rewrites only a few adjacency entries, the rest
+    # keeping their frozensets; a step that copied or rebuilt its tree
+    # would cost the tree's size
+    validated, built, rewritten = [], [], []
     validate, init = PhyloTree._validate, PhyloTree.__init__
 
     def counted_validate(self):
@@ -531,12 +578,17 @@ def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
         built.append(id(self))
         init(self, adj, labels)
 
-    def sharing(surgery):
+    def in_place(surgery):
         def spied(tree, removed):
+            before, builds = dict(tree.adj), len(built)
             out, record = surgery(tree, removed)
-            for child in out if isinstance(out, tuple) else [out]:
-                if child is not None:
-                    unshared.append(sum(tree.adj.get(v) is not ns for v, ns in child.adj.items()))
+            assert len(built) == builds
+            children = [c for c in (out if isinstance(out, tuple) else [out]) if c is not None]
+            # a drop leaves the patched tree (none for an isolated leaf), a
+            # cut the patched tree and the smaller side
+            assert children in ([], [tree]) or (len(children) == 2 and tree in children)
+            for child in children:
+                rewritten.append(sum(before.get(v) is not ns for v, ns in child.adj.items()))
             return out, record
 
         return spied
@@ -544,15 +596,15 @@ def test_replay_validates_only_the_trees_the_constructor_builds(monkeypatch):
     pairs = [_pair_documents(n, 4000 + n) for n in (40, 47, 53, 60)]
     monkeypatch.setattr(PhyloTree, "_validate", counted_validate)
     monkeypatch.setattr(PhyloTree, "__init__", counted_init)
-    for name in ("tree_remove_leaf", "tree_remove_edge"):
-        monkeypatch.setattr(trees, name, sharing(getattr(trees, name)))
+    for name in ("_drop_leaf", "_cut_edge"):
+        monkeypatch.setattr(reductions, name, in_place(getattr(reductions, name)))
     for doc1, doc2, trace in pairs:
         F, F2 = state(doc1, doc2)
         weight = validate_trace(F, F2, trace)
         assert weight == trace.weight
         build_network(F, F2, trace)
     assert validated == built
-    assert len(unshared) > 400
-    # a step changes at most two vertices of each tree it leaves (the
+    assert len(rewritten) > 400
+    # a step rewrites at most two vertices of each tree it leaves (the
     # ends of a merged edge, or a cut's leaf end)
-    assert max(unshared) <= 2
+    assert max(rewritten) <= 2

@@ -2,14 +2,16 @@
 
     python3 tools/replay_scale.py
 
-For n = 200, 400 and 800 the input is one seeded tree pair on labels
-0..n-1 (``random_forest_pair`` with one component, from
+For n = 200, 400, 800 and 1,600 the input is one seeded tree pair on
+labels 0..n-1 (``random_forest_pair`` with one component, from
 ``seeded_rng(n)``; n = 400 is the pair of the tests' memory bounds) and
 its greedy trace.  Each line gives the trace's step count and, for
 ``validate_trace`` and ``build_network``, the tracemalloc peak of one
-call and the least process time of three untraced calls.  A replay that
-holds one state at a time peaks at about one state plus its records; a
-replay that keeps every state grows with n times the step count.
+call, the least process time of three untraced calls and that time per
+step in microseconds.  A replay that holds one state at a time peaks at
+about one state plus its records; a replay that keeps every state grows
+with n times the step count.  A replay step that costs what it touches
+keeps its time per step near flat as n grows.
 
 The script imports the package from the ``src`` directory beside it, so
 it measures the checkout it lives in.  It uses the standard library and
@@ -27,7 +29,7 @@ from cherrypick import build_network, validate_trace  # noqa: E402
 from cherrypick.generate import random_forest_pair, seeded_rng  # noqa: E402
 from cherrypick.search import greedy_cps  # noqa: E402
 
-SIZES = (200, 400, 800)
+SIZES = (200, 400, 800, 1600)
 RUNS = 3
 
 
@@ -55,7 +57,10 @@ def main():
         cells = ["n %d" % n, "steps %d" % len(trace)]
         for fn in (validate_trace, build_network):
             peak, took = measure(fn, F, F2, trace)
-            cells.append("%s peak %.1f MB %.3f s" % (fn.__name__, peak / 1e6, took))
+            per_step = took / len(trace) * 1e6
+            cells.append(
+                "%s peak %.1f MB %.3f s %.1f us/step" % (fn.__name__, peak / 1e6, took, per_step)
+            )
         print(", ".join(cells))
 
 
